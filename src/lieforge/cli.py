@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import braids, dk, suites
 from .derivations import (
@@ -93,22 +91,6 @@ def parse_aut_expr(n: int, text: str) -> braids.AutWord:
     return out
 
 
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, args.jobs)
-    env = os.environ.get("LIEFORGE_JOBS")
-    return max(1, int(env)) if env else 1
-
-
-def _map_cells(args, cells, fn):
-    """Evaluate fn over cells, possibly in parallel, preserving cell order."""
-    jobs = _jobs(args)
-    if jobs == 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
-
-
 def cmd_witt(args) -> int:
     rows = []
     ok = True
@@ -140,7 +122,7 @@ def cmd_ranks(args) -> int:
             raise UsageError(f"unknown object {args.object!r}")
         return {"degree": k, "computed": computed, "formula": formula,
                 "match": computed == formula}
-    rows = _map_cells(args, range(1, args.max_degree + 1), cell)
+    rows = [cell(k) for k in range(1, args.max_degree + 1)]
     _emit(args, {"command": "ranks", "object": args.object, "n": args.n}, rows,
           ["degree", "computed", "formula", "match"])
     return 0 if all(r["match"] for r in rows) else 1
@@ -148,7 +130,7 @@ def cmd_ranks(args) -> int:
 
 def cmd_census(args) -> int:
     ns = _parse_n_range(args.n_range)
-    rows = _map_cells(args, ns, lambda n: dk.cokernel_census(n, args.degree))
+    rows = [dk.cokernel_census(n, args.degree) for n in ns]
     flat = []
     ok = True
     for r in rows:
@@ -295,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, n=True, deg=True):
         sp.add_argument("--format", choices=("json", "tsv"), default="json")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="parallel cells (default 1 or LIEFORGE_JOBS)")
         if n:
             sp.add_argument("--n", type=int, required=True)
         if deg:

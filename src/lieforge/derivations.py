@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .freelie import (
     LieElement,
-    boundary_element,
     lie_add,
     lie_bracket,
     lie_coords,
@@ -326,19 +325,3 @@ def ad_image_lattice(n: int, k: int) -> IntLattice:
     """Image coordinates of the inner derivations ad(x), x of degree k."""
     rows = [der_vector(ad_derivation(lie_from_word(n, w))) for w in lyndon_words(n, k)]
     return lattice_from_rows(rows, image_dim(n, k))
-
-
-def inner_cap_braidlike(n: int, k: int) -> IntLattice:
-    """Degree-k elements x with ad(x) braid-like, i.e. the centralizer of
-    the boundary element; returned in degree-k Lyndon coordinates."""
-    if k < 1:
-        raise ValueError("degree must be at least 1")
-    bnd = boundary_element(n)
-    dim_k = witt_rank(n, k)
-    dim_k1 = witt_rank(n, k + 1)
-    cols = []
-    for w in lyndon_words(n, k):
-        b = lie_from_word(n, w)
-        cols.append(lie_coords(lie_bracket(b, bnd), k + 1))
-    rows = [[cols[c][r] for c in range(dim_k)] for r in range(dim_k1)]
-    return kernel_basis(IntMatrix.from_rows(rows, dim_k))

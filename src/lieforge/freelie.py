@@ -207,11 +207,6 @@ class LieElement:
             raise ValueError("element is not homogeneous")
         return ds.pop()
 
-    def homogeneous_part(self, k: int) -> "LieElement":
-        return LieElement(
-            self.rank_n, {kp: c for kp, c in self.coeffs.items() if kp[0] == k}
-        )
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -269,10 +264,6 @@ def lie_neg(a: LieElement) -> LieElement:
 
 def lie_sub(a: LieElement, b: LieElement) -> LieElement:
     return lie_add(a, lie_neg(b))
-
-
-def lie_eq(a: LieElement, b: LieElement) -> bool:
-    return a.rank_n == b.rank_n and a.coeffs == b.coeffs
 
 
 @lru_cache(maxsize=None)

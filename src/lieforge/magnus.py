@@ -68,11 +68,16 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     if a.rank_n != b.rank_n or a.max_degree != b.max_degree:
         raise ValueError("series mismatch")
     d = a.max_degree
+    return TruncSeries(a.rank_n, d, _truncated_product(a.coeffs, b.coeffs, d))
+
+
+def _truncated_product(a: dict, b: dict, d: int) -> dict:
+    """Coefficients of the product a*b, dropping monomials beyond degree d."""
     by_deg: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
-    for m, c in b.coeffs.items():
+    for m, c in b.items():
         by_deg[len(m)].append((m, c))
     out: dict[tuple[int, ...], int] = {}
-    for ma, ca in a.coeffs.items():
+    for ma, ca in a.items():
         room = d - len(ma)
         for db in range(room + 1):
             for mb, cb in by_deg[db]:
@@ -82,7 +87,7 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
                     out[key] = nv
                 else:
                     del out[key]
-    return TruncSeries(a.rank_n, d, out)
+    return out
 
 
 def series_sub_one(a: TruncSeries) -> dict:
@@ -210,24 +215,6 @@ class SeriesEndo:
     images: tuple  # TruncSeries per generator, constant term 1
 
 
-def _mul_dicts(a: dict, b: dict, d: int) -> dict:
-    by_deg: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
-    for m, c in b.items():
-        by_deg[len(m)].append((m, c))
-    out: dict[tuple[int, ...], int] = {}
-    for ma, ca in a.items():
-        room = d - len(ma)
-        for db in range(room + 1):
-            for mb, cb in by_deg[db]:
-                key = ma + mb
-                nv = out.get(key, 0) + ca * cb
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-    return out
-
-
 def endo_to_series(e: EndoTable, d: int) -> SeriesEndo:
     return SeriesEndo(
         e.rank_n, d, tuple(magnus_expand(w, d) for w in e.images)
@@ -252,7 +239,7 @@ def series_endo_compose(a: SeriesEndo, b: SeriesEndo) -> SeriesEndo:
         got = prefix_cache.get(mono)
         if got is None:
             base = prefix_series(mono[:-1])
-            got = _mul_dicts(base, shifted[mono[-1] - 1], d)
+            got = _truncated_product(base, shifted[mono[-1] - 1], d)
             prefix_cache[mono] = got
         return got
 

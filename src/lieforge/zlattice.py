@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -56,15 +57,27 @@ class IntMatrix:
             tuple(tuple(e[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
-
-def _first_nonzero(v: list[int], start: int) -> int:
+def _first_nonzero(v, start: int) -> int:
     for j in range(start, len(v)):
         if v[j]:
             return j
     return -1
+
+
+def _echelon_member(vec, rows, pivots, ambient: int) -> bool:
+    """Whether vec lies in the Z-span of echelon rows with the given pivots."""
+    v = [int(x) for x in vec]
+    if len(v) != ambient:
+        raise ValueError("vector has wrong dimension")
+    for row, p in zip(rows, pivots):
+        q, r = divmod(v[p], row[p])
+        if r:
+            return False
+        if q:
+            for t in range(p, ambient):
+                v[t] -= q * row[t]
+    return not any(v)
 
 
 class LatticeBuilder:
@@ -127,23 +140,7 @@ class LatticeBuilder:
         return changed
 
     def contains(self, vec) -> bool:
-        v = [int(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError("vector has wrong dimension")
-        j = _first_nonzero(v, 0)
-        while j >= 0:
-            pos = bisect_left(self._pivots, j)
-            if pos == len(self._pivots) or self._pivots[pos] != j:
-                return False
-            row = self._rows[pos]
-            b, a = v[j], row[j]
-            if b % a:
-                return False
-            q = b // a
-            for t in range(j, self.ambient):
-                v[t] -= q * row[t]
-            j = _first_nonzero(v, j)
-        return True
+        return _echelon_member(vec, self._rows, self._pivots, self.ambient)
 
     def hermite_rows(self) -> tuple[tuple[int, ...], ...]:
         rows = [list(r) for r in self._rows]
@@ -177,6 +174,10 @@ class IntLattice:
     def is_zero(self) -> bool:
         return self.basis.rows == 0
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(_first_nonzero(r, 0) for r in self.basis.entries)
+
 
 def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
     b = LatticeBuilder(ambient_dim)
@@ -187,14 +188,6 @@ def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
 
 def zero_lattice(ambient_dim: int) -> IntLattice:
     return IntLattice(ambient_dim, IntMatrix.from_rows((), ambient_dim))
-
-
-def full_lattice(ambient_dim: int) -> IntLattice:
-    rows = tuple(
-        tuple(1 if t == i else 0 for t in range(ambient_dim))
-        for i in range(ambient_dim)
-    )
-    return IntLattice(ambient_dim, IntMatrix.from_rows(rows, ambient_dim))
 
 
 def hermite_form(m: IntMatrix) -> IntMatrix:
@@ -255,19 +248,7 @@ def kernel_basis(m: IntMatrix) -> IntLattice:
 
 
 def lattice_member(v, lat: IntLattice) -> bool:
-    w = [int(x) for x in v]
-    if len(w) != lat.ambient_dim:
-        raise ValueError("vector has wrong dimension")
-    for row in lat.basis.entries:
-        p = _first_nonzero(list(row), 0)
-        if w[p] == 0:
-            continue
-        if w[p] % row[p]:
-            return False
-        q = w[p] // row[p]
-        for t in range(p, lat.ambient_dim):
-            w[t] -= q * row[t]
-    return not any(w)
+    return _echelon_member(v, lat.basis.entries, lat.pivots, lat.ambient_dim)
 
 
 def lattice_sum(a: IntLattice, b: IntLattice) -> IntLattice:
@@ -298,13 +279,7 @@ def lattice_intersect(a: IntLattice, b: IntLattice) -> IntLattice:
     return lattice_from_rows(rows, a.ambient_dim)
 
 
-def saturate(lat: IntLattice) -> IntLattice:
-    """Intersection of the rational span of lat with Z^ambient."""
-    ortho = kernel_basis(lat.basis)
-    return kernel_basis(ortho.basis)
-
-
-def relations_among(vectors, length: int | None = None) -> IntLattice:
+def relations_among(vectors) -> IntLattice:
     """Integer relations {x : sum_t x_t v_t = 0} among the given vectors.
 
     Vectors may be sparse dicts {index: coeff} or dense sequences; they need

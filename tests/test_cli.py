@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -64,14 +65,6 @@ def test_center_cli(capsys):
     assert all(r["match"] for r in rows)
 
 
-def test_jobs_env_fallback(capsys, monkeypatch):
-    base = ("ranks", "--object", "dk", "--n", "3", "--max-degree", "3")
-    _, out1, _ = run_cli(capsys, *base)
-    monkeypatch.setenv("LIEFORGE_JOBS", "2")
-    _, out2, _ = run_cli(capsys, *base)
-    assert out1 == out2
-
-
 def test_ranks_cli(capsys):
     code, out, _ = run_cli(
         capsys, "ranks", "--object", "der-t-boundary", "--n", "4", "--max-degree", "4"
@@ -121,11 +114,11 @@ def test_deterministic_stdout(capsys):
     assert out1 == out2
 
 
-def test_jobs_flag_same_output(capsys):
-    base = ("ranks", "--object", "dk", "--n", "3", "--max-degree", "3")
-    _, out1, _ = run_cli(capsys, *base)
-    _, out2, _ = run_cli(capsys, *base, "--jobs", "3")
-    assert out1 == out2
+def test_removed_jobs_flag_is_rejected(capsys):
+    code, _, _ = run_cli(
+        capsys, "ranks", "--object", "dk", "--n", "3", "--max-degree", "3", "--jobs", "2"
+    )
+    assert code == 2
 
 
 def test_parse_aut_expr():
@@ -143,3 +136,28 @@ def test_parse_aut_expr():
     )
     with pytest.raises(Exception):
         parse_aut_expr(2, "Q(1)")
+
+
+# stdout digests of ops that exercise the series product, lattice membership,
+# the Johnson layers, the centralizer of the boundary and the census cells
+PINNED_STDOUT = {
+    "ranks --object dk --n 3 --max-degree 3":
+        "85a2c9f62a81246c925d2b5fef5ae8270230e96abf07c00f2e071af89e1f9125",
+    "center --object dk-star --n 3 --max-degree 3":
+        "68e18bd9f72b3339291eaec29ef4a841efc31d3ec5cf4a8cc978413a9c2e297f",
+    "verify johnson --family FnPn --n 3 --max-degree 3":
+        "1e076f9a8c7220e4de80d7c766e3f6a4c1d19791439ccd0955a9b48a1dec7152",
+    "verify key-theorem --n 3 --max-degree 3":
+        "04054c38c6833b181ec1acd7eff304aacd0bd8e6d2aad17fca66c0a3de4c4b54",
+    "verify triangular --n 3":
+        "af9947e0f92f9c7e82138020bd17d998bfe583660b4f98bced4f7fbca39e51aa",
+    "census --n-range 3..4 --degree 3":
+        "fa77de470de2371aec859fbd3db4fbe39212e7addf1b8b8d2acb2138e906b8ee",
+}
+
+
+@pytest.mark.parametrize("op", sorted(PINNED_STDOUT))
+def test_pinned_stdout(capsys, op):
+    code, out, _ = run_cli(capsys, *op.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op]

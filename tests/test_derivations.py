@@ -20,7 +20,6 @@ from lieforge.derivations import (
     ev_boundary,
     ev_boundary_surjective,
     image_dim,
-    inner_cap_braidlike,
     tangential_basis,
     tangential_coords,
     tangential_rank_formula,
@@ -29,6 +28,7 @@ from lieforge.dk import tau1
 from lieforge.freelie import (
     LieElement,
     boundary_element,
+    centralizer_of_linear,
     lie_add,
     lie_bracket,
     lie_from_word,
@@ -142,9 +142,10 @@ def test_ad_examples():
 
 
 def test_inner_cap_examples():
-    assert inner_cap_braidlike(3, 1).basis.entries == ((1, 1, 1),)
-    assert inner_cap_braidlike(3, 2).rank == 0
-    assert inner_cap_braidlike(2, 1).basis.entries == ((1, 1),)
+    # degree-k elements x with ad(x) braid-like: the centralizer of the boundary
+    assert centralizer_of_linear(boundary_element(3), 1).basis.entries == ((1, 1, 1),)
+    assert centralizer_of_linear(boundary_element(3), 2).rank == 0
+    assert centralizer_of_linear(boundary_element(2), 1).basis.entries == ((1, 1),)
 
 
 def test_ad_boundary_central_among_braidlike():

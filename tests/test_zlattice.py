@@ -13,7 +13,6 @@ from lieforge.zlattice import (
     lattice_member,
     lattice_sum,
     relations_among,
-    saturate,
     smith_rank,
     xgcd,
     zero_lattice,
@@ -149,12 +148,16 @@ def test_membership_examples():
     assert lattice_member([0, 0], lattice_from_rows([[5, 3]], 2))
 
 
-def test_saturate():
-    lat = lattice_from_rows([[2, 0], [0, 3]], 2)
-    assert saturate(lat).basis.entries == ((1, 0), (0, 1))
-    thin = lattice_from_rows([[2, 4]], 2)
-    assert saturate(thin).basis.entries == ((1, 2),)
-    assert saturate(zero_lattice(3)).rank == 0
+def test_builder_contains():
+    b = LatticeBuilder(2)
+    b.add([2, 0])
+    b.add([0, 3])
+    lat = b.lattice()
+    for v, member in (([4, 3], True), ([0, 0], True), ([1, 0], False), ([2, 1], False)):
+        assert b.contains(v) is member
+        assert lattice_member(v, lat) is member
+    with pytest.raises(ValueError):
+        b.contains([1, 0, 0])
 
 
 def test_lattice_sum():
