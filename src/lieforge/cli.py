@@ -249,7 +249,9 @@ def cmd_verify(args) -> int:
     elif name == "quotient":
         reports = [suites.verify_quotient_action(args.n)]
     elif name == "johnson":
-        reports = [suites.verify_johnson_injectivity(args.family, args.n, args.max_degree)]
+        reports = [
+            suites.verify_johnson_injectivity(args.family, args.n, args.max_degree, args.seed)
+        ]
     elif name == "key-theorem":
         reports = [suites.verify_key_theorem_hypothesis(args.n, args.max_degree)]
     elif name == "triangular":

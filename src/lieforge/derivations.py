@@ -7,8 +7,8 @@ delta(X_1 + ... + X_n) carve out the braid-like ones; every rank and
 intersection question becomes an integer-lattice question in generator-image
 coordinates.
 
-The free Lie ring is N^n-graded and the boundary evaluation respects that
-grading, so its kernels and images are computed one multidegree at a time.
+Derivation vectors are sparse dicts {index: coeff}, handed to the lattice
+layer as they are.
 """
 
 from __future__ import annotations
@@ -21,23 +21,21 @@ from .freelie import (
     lie_add,
     lie_bracket,
     lie_coords,
-    lie_from_coords,
     lie_from_word,
     lie_generator,
     lie_sub,
     lie_zero,
     lyndon_words,
-    multidegree,
-    positions_by_multidegree,
     standard_factorization,
     witt_rank,
     _basis_bracket,
 )
 from .zlattice import (
     IntLattice,
-    IntMatrix,
-    kernel_basis,
+    LatticeBuilder,
+    combine,
     lattice_from_rows,
+    relations_among,
 )
 
 
@@ -206,66 +204,23 @@ def tangential_basis(n: int, k: int) -> list[HomDerivation]:
     return out
 
 
-def _ev_blocks(n: int, k: int):
-    """Boundary-evaluation matrix split into multidegree blocks.
-
-    Yields (target_positions, cols, matrix_rows) per multidegree, where cols
-    indexes into tangential_coords(n, k).
-    """
-    coords = tangential_coords(n, k)
-    target_groups = positions_by_multidegree(n, k + 1)
-    cols_by_md: dict[tuple[int, ...], list[int]] = {}
-    for ci, (i, u) in enumerate(coords):
-        md = list(multidegree(u, n))
-        md[i - 1] += 1
-        cols_by_md.setdefault(tuple(md), []).append(ci)
-    all_mds = set(target_groups) | set(cols_by_md)
-    for md in sorted(all_mds):
-        tpos = target_groups.get(md, [])
-        cols = cols_by_md.get(md, [])
-        row_of = {p: r for r, p in enumerate(tpos)}
-        rows = [[0] * len(cols) for _ in tpos]
-        for c_local, ci in enumerate(cols):
-            i, u = coords[ci]
-            for p, v in _basis_bracket(n, (i,), u).items():
-                rows[row_of[p]][c_local] = v
-        yield tpos, cols, rows
-
-
 @lru_cache(maxsize=None)
 def braidlike_lattice(n: int, k: int) -> IntLattice:
-    """Saturated kernel of the boundary evaluation, in tangential coordinates."""
-    coords = tangential_coords(n, k)
-    width = len(coords)
-    out_rows = []
-    for _tpos, cols, rows in _ev_blocks(n, k):
-        if not cols:
-            continue
-        kern = kernel_basis(IntMatrix.from_rows(rows, len(cols)))
-        for kr in kern.basis.entries:
-            vec = [0] * width
-            for c_local, val in enumerate(kr):
-                vec[cols[c_local]] = val
-            out_rows.append(vec)
-    return lattice_from_rows(out_rows, width)
+    """Saturated kernel of the boundary evaluation, in tangential coordinates.
+
+    The coordinate (i, u) evaluates to [X_i, u], so the kernel is the
+    relations among those brackets.
+    """
+    return relations_among(_basis_bracket(n, (i,), u) for i, u in tangential_coords(n, k))
 
 
 def ev_boundary_surjective(n: int, k: int) -> bool:
     """Whether degree-k tangential derivations evaluate onto all of degree k+1."""
-    for tpos, cols, rows in _ev_blocks(n, k):
-        if not tpos:
-            continue
-        cols_as_rows = [[rows[r][c] for r in range(len(tpos))] for c in range(len(cols))]
-        image = lattice_from_rows(cols_as_rows, len(tpos))
-        if image.rank != len(tpos):
-            return False
-        ident = tuple(
-            tuple(1 if t == r else 0 for t in range(len(tpos)))
-            for r in range(len(tpos))
-        )
-        if image.basis.entries != ident:
-            return False
-    return True
+    dim = witt_rank(n, k + 1)
+    image = LatticeBuilder(dim)
+    for i, u in tangential_coords(n, k):
+        image.add(_basis_bracket(n, (i,), u))
+    return image.rank == dim and all(image.contains({p: 1}) for p in range(dim))
 
 
 def image_dim(n: int, k: int) -> int:
@@ -273,51 +228,35 @@ def image_dim(n: int, k: int) -> int:
     return n * witt_rank(n, k + 1)
 
 
-def der_vector(d: HomDerivation) -> list[int]:
+def der_vector(d: HomDerivation) -> dict[int, int]:
     """Generator-image coordinates: Lyndon coordinates of each image, concatenated."""
-    out: list[int] = []
-    for img in d.images:
-        out.extend(lie_coords(img, d.degree + 1))
+    block = witt_rank(d.rank_n, d.degree + 1)
+    out: dict[int, int] = {}
+    for i, img in enumerate(d.images):
+        for p, c in lie_coords(img, d.degree + 1).items():
+            out[i * block + p] = c
     return out
 
 
-def der_from_vector(n: int, k: int, vec) -> HomDerivation:
+def der_from_vector(n: int, k: int, vec: dict) -> HomDerivation:
     block = witt_rank(n, k + 1)
-    images = tuple(
-        lie_from_coords(n, k + 1, vec[i * block : (i + 1) * block]) for i in range(n)
-    )
-    return HomDerivation(n, k, images)
-
-
-@lru_cache(maxsize=None)
-def tangential_to_image_matrix(n: int, k: int):
-    """Rows: image coordinates of each tangential basis derivation."""
-    rows = []
-    block = witt_rank(n, k + 1)
-    for i, u in tangential_coords(n, k):
-        vec = [0] * (n * block)
-        for p, v in _basis_bracket(n, (i,), u).items():
-            vec[(i - 1) * block + p] = v
-        rows.append(vec)
-    return tuple(tuple(r) for r in rows)
+    coeffs: list[dict] = [{} for _ in range(n)]
+    for j, c in vec.items():
+        if c:
+            coeffs[j // block][(k + 1, j % block)] = int(c)
+    return HomDerivation(n, k, tuple(LieElement(n, c) for c in coeffs))
 
 
 @lru_cache(maxsize=None)
 def braidlike_image_lattice(n: int, k: int) -> IntLattice:
     """The braid-like derivations of degree k, in generator-image coordinates."""
-    tmat = tangential_to_image_matrix(n, k)
-    width = image_dim(n, k)
-    rows = []
-    for tv in braidlike_lattice(n, k).basis.entries:
-        vec = [0] * width
-        for ci, c in enumerate(tv):
-            if c:
-                trow = tmat[ci]
-                for j in range(width):
-                    if trow[j]:
-                        vec[j] += c * trow[j]
-        rows.append(vec)
-    return lattice_from_rows(rows, width)
+    block = witt_rank(n, k + 1)
+    images = [
+        {(i - 1) * block + p: v for p, v in _basis_bracket(n, (i,), u).items()}
+        for i, u in tangential_coords(n, k)
+    ]
+    rows = (combine(tv, images) for tv in braidlike_lattice(n, k).pivot_rows.values())
+    return lattice_from_rows(rows, image_dim(n, k))
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,7 @@ from .freelie import lie_bracket, lie_generator, lie_zero, witt_rank
 from .zlattice import (
     IntLattice,
     LatticeBuilder,
+    combine,
     lattice_from_rows,
     lattice_member,
     relations_among,
@@ -165,31 +166,20 @@ def check_dk_presentation(n: int) -> dict:
 
 def _central_sublattice(n: int, k: int) -> IntLattice:
     """Elements of the degree-k component commuting with every generator."""
-    comp = dk_component(n, k)
-    spanning = comp.spanning
+    spanning = dk_component(n, k).spanning
     if not spanning:
         return zero_lattice(image_dim(n, k))
     gens = [tau1(i, j, n) for i, j in dk_generator_pairs(n)]
-    sparse_vectors = []
-    for t, d in enumerate(spanning):
-        v: dict[tuple[int, int], int] = {}
-        for gi, g in enumerate(gens):
-            bracket = der_bracket(d, g)
-            for ci, c in enumerate(der_vector(bracket)):
-                if c:
-                    v[(gi, ci)] = c
-        sparse_vectors.append(v)
-    kernel = relations_among(sparse_vectors)
-    rows = []
-    for x in kernel.basis.entries:
-        vec = [0] * image_dim(n, k)
-        for t, c in enumerate(x):
-            if c:
-                dv = der_vector(spanning[t])
-                for j, val in enumerate(dv):
-                    if val:
-                        vec[j] += c * val
-        rows.append(vec)
+    brackets = [
+        {
+            (gi, ci): c
+            for gi, g in enumerate(gens)
+            for ci, c in der_vector(der_bracket(d, g)).items()
+        }
+        for d in spanning
+    ]
+    vectors = [der_vector(d) for d in spanning]
+    rows = (combine(x, vectors) for x in relations_among(brackets).basis.entries)
     return lattice_from_rows(rows, image_dim(n, k))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .zlattice import IntLattice, IntMatrix, kernel_basis
+from .zlattice import IntLattice, relations_among
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +117,6 @@ def multidegree(word: tuple[int, ...], n: int) -> tuple[int, ...]:
     for a in word:
         md[a - 1] += 1
     return tuple(md)
-
-
-@lru_cache(maxsize=None)
-def positions_by_multidegree(n: int, k: int) -> dict:
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for p, w in enumerate(lyndon_words(n, k)):
-        groups.setdefault(multidegree(w, n), []).append(p)
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +307,22 @@ def to_tensor(a: LieElement) -> dict:
     return out
 
 
-def lie_coords(a: LieElement, k: int) -> list[int]:
-    """Coordinate vector of the degree-k part in the Lyndon basis."""
-    vec = [0] * witt_rank(a.rank_n, k)
-    for (kk, p), c in a.coeffs.items():
-        if kk == k:
-            vec[p] = c
-    return vec
-
-
-def lie_from_coords(n: int, k: int, vec) -> LieElement:
-    return LieElement(n, {(k, p): int(c) for p, c in enumerate(vec) if c})
+def lie_coords(a: LieElement, k: int) -> dict[int, int]:
+    """Coordinates {position: coeff} of the degree-k part in the Lyndon basis."""
+    return {p: c for (kk, p), c in a.coeffs.items() if kk == k}
 
 
 def centralizer_of_linear(x: LieElement, k: int) -> IntLattice:
-    """Lattice of degree-k elements commuting with a degree-1 element x."""
+    """Lattice of degree-k elements commuting with a degree-1 element x.
+
+    These are the relations among the brackets [x, b] over the degree-k
+    basis words b.
+    """
     if x.is_zero():
         raise ValueError("centralizer of zero is everything; refusing")
     if x.degree() != 1:
         raise ValueError("x must be homogeneous of degree 1")
     n = x.rank_n
-    dim_k = witt_rank(n, k)
-    dim_k1 = witt_rank(n, k + 1)
-    cols = []
-    for p in range(dim_k):
-        b = lie_from_word(n, lyndon_words(n, k)[p])
-        cols.append(lie_coords(lie_bracket(x, b), k + 1))
-    rows = [[cols[c][r] for c in range(dim_k)] for r in range(dim_k1)]
-    return kernel_basis(IntMatrix.from_rows(rows, dim_k))
+    return relations_among(
+        lie_coords(lie_bracket(x, lie_from_word(n, w)), k + 1) for w in lyndon_words(n, k)
+    )

@@ -403,7 +403,7 @@ def verify_triangular_degree1(n: int) -> SuiteReport:
             jd.image(1).is_zero(),
         )
     cent = centralizer_of_linear(lie_generator(n, 1), 1)
-    expected = lattice_from_rows([[1] + [0] * (n - 1)], n)
+    expected = lattice_from_rows([{0: 1}], n)
     rep.check(
         "inner derivations killing X1 come from multiples of X1",
         True,
@@ -451,7 +451,7 @@ def verify_all(n: int, max_degree: int, samples: int = 60, seed=42) -> list[Suit
     jd_deg = min(max_degree, 4)
     if n <= 4:
         for family in ("Inn", "Pn", "FnPn"):
-            reports.append(verify_johnson_injectivity(family, n, jd_deg))
+            reports.append(verify_johnson_injectivity(family, n, jd_deg, seed))
     if 3 <= n <= 4:
         reports.append(verify_key_theorem_hypothesis(n, jd_deg))
         reports.append(verify_triangular_degree1(n))

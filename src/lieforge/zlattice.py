@@ -5,11 +5,15 @@ floating point and no modular arithmetic anywhere.  A lattice (finitely
 generated subgroup of Z^m) is always stored through its canonical row-style
 Hermite basis, so two lattices are equal exactly when their representations
 compare equal.
+
+Vectors are sparse: every function here takes a dict {index: coeff} (or a
+dense sequence, converted at the boundary), and elimination works on sparse
+rows keyed by pivot.  Only ``IntLattice.basis``, the canonical Hermite basis
+that callers compare, print and measure, is dense.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,117 +53,119 @@ class IntMatrix:
             raise ValueError("empty matrix needs an explicit column count")
         return IntMatrix(len(data), cols, data)
 
-    def transpose(self) -> "IntMatrix":
-        e = self.entries
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(e[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
 
+def _sparse(vec, ambient: int) -> dict[int, int]:
+    """A fresh {index: coeff} copy of vec, zeros dropped.
 
-def _first_nonzero(v, start: int) -> int:
-    for j in range(start, len(v)):
-        if v[j]:
-            return j
-    return -1
-
-
-def _echelon_member(vec, rows, pivots, ambient: int) -> bool:
-    """Whether vec lies in the Z-span of echelon rows with the given pivots."""
-    v = [int(x) for x in vec]
-    if len(v) != ambient:
+    vec is a dict {index: coeff} or a dense sequence of length ambient.
+    """
+    if isinstance(vec, dict):
+        if any(not 0 <= j < ambient for j in vec):
+            raise ValueError("vector has wrong dimension")
+        return {j: int(c) for j, c in vec.items() if c}
+    if len(vec) != ambient:
         raise ValueError("vector has wrong dimension")
-    for row, p in zip(rows, pivots):
-        q, r = divmod(v[p], row[p])
+    return {j: int(c) for j, c in enumerate(vec) if c}
+
+
+def _sub_multiple(v: dict, q: int, row: dict) -> None:
+    """v -= q * row in place, dropping entries that cancel."""
+    for t, x in row.items():
+        nv = v.get(t, 0) - q * x
+        if nv:
+            v[t] = nv
+        else:
+            v.pop(t, None)
+
+
+def _reduce(v: dict, rows: dict) -> dict:
+    """Reduce v by echelon rows keyed by pivot, following v's own support.
+
+    Stops at the first leading entry that no row's pivot divides; the result
+    is empty exactly when v lies in the Z-span of the rows.
+    """
+    while v:
+        j = min(v)
+        row = rows.get(j)
+        if row is None:
+            return v
+        q, r = divmod(v[j], row[j])
         if r:
-            return False
-        if q:
-            for t in range(p, ambient):
-                v[t] -= q * row[t]
-    return not any(v)
+            return v
+        _sub_multiple(v, q, row)
+    return v
+
+
+def combine(coeffs, vectors) -> dict:
+    """Sparse sum of c * vectors[t] over coeffs, a dict {t: c} or a sequence."""
+    out: dict = {}
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    for t, c in items:
+        if c:
+            _sub_multiple(out, -c, vectors[t])
+    return out
 
 
 class LatticeBuilder:
     """Incrementally reduced row basis of a sublattice of Z^ambient.
 
-    Rows are kept in echelon order (strictly increasing pivot columns).
-    ``add`` reports whether the vector enlarged the lattice, which is the
-    stopping signal used by spanning loops.
+    Rows are sparse dicts keyed by their pivot (leading) column.  ``add``
+    reports whether the vector enlarged the lattice, which is the stopping
+    signal used by spanning loops.
     """
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
         self.ambient = ambient_dim
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def add(self, vec) -> bool:
-        v = [int(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ValueError("vector has wrong dimension")
+        rows = self._rows
+        v = _sparse(vec, self.ambient)
         changed = False
-        j = _first_nonzero(v, 0)
-        while j >= 0:
-            pos = bisect_left(self._pivots, j)
-            if pos == len(self._pivots) or self._pivots[pos] != j:
-                self._rows.insert(pos, v)
-                self._pivots.insert(pos, j)
+        while _reduce(v, rows):
+            j = min(v)
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v
                 return True
-            row = self._rows[pos]
+            # the pivot does not divide v's leading entry: replace the row by
+            # the gcd combination (a unimodular step) and keep reducing v
             a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                if q == 1:
-                    for t in range(j, self.ambient):
-                        v[t] -= row[t]
-                elif q == -1:
-                    for t in range(j, self.ambient):
-                        v[t] += row[t]
-                else:
-                    for t in range(j, self.ambient):
-                        v[t] -= q * row[t]
-            else:
-                g, s, t = xgcd(a, b)
-                qa, qb = a // g, b // g
-                new_row = [0] * self.ambient
-                new_v = [0] * self.ambient
-                for t2 in range(j, self.ambient):
-                    ra, vb = row[t2], v[t2]
-                    new_row[t2] = s * ra + t * vb
-                    new_v[t2] = qa * vb - qb * ra
-                self._rows[pos] = new_row
-                v = new_v
-                changed = True
-            j = _first_nonzero(v, j)
+            g, s, t = xgcd(a, b)
+            rows[j] = combine((s, t), (row, v))
+            v = combine((a // g, -(b // g)), (v, row))
+            changed = True
         return changed
 
     def contains(self, vec) -> bool:
-        return _echelon_member(vec, self._rows, self._pivots, self.ambient)
-
-    def hermite_rows(self) -> tuple[tuple[int, ...], ...]:
-        rows = [list(r) for r in self._rows]
-        for i in range(len(rows)):
-            p = self._pivots[i]
-            if rows[i][p] < 0:
-                rows[i] = [-x for x in rows[i]]
-            piv = rows[i][p]
-            for k in range(i):
-                q = rows[k][p] // piv
-                if q:
-                    rk, ri = rows[k], rows[i]
-                    for t in range(p, self.ambient):
-                        rk[t] -= q * ri[t]
-        return tuple(tuple(r) for r in rows)
+        return not _reduce(_sparse(vec, self.ambient), self._rows)
 
     def lattice(self) -> "IntLattice":
-        basis = IntMatrix.from_rows(self.hermite_rows(), self.ambient)
-        return IntLattice(self.ambient, basis)
+        """The spanned lattice, through its canonical Hermite basis.
+
+        Pivots are positive and the entries above each pivot lie in [0, pivot).
+        """
+        done: list[dict] = []
+        for p, row in sorted(self._rows.items()):
+            row = dict(row) if row[p] > 0 else {t: -x for t, x in row.items()}
+            for above in done:
+                q = above.get(p, 0) // row[p]
+                if q:
+                    _sub_multiple(above, q, row)
+            done.append(row)
+        basis = []
+        for row in done:
+            dense = [0] * self.ambient
+            for t, x in row.items():
+                dense[t] = x
+            basis.append(tuple(dense))
+        return IntLattice(self.ambient, IntMatrix(len(basis), self.ambient, tuple(basis)))
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,13 @@ class IntLattice:
         return self.basis.rows == 0
 
     @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(_first_nonzero(r, 0) for r in self.basis.entries)
+    def pivot_rows(self) -> dict[int, dict[int, int]]:
+        """The basis rows as sparse dicts keyed by pivot, in pivot order."""
+        out = {}
+        for r in self.basis.entries:
+            row = {j: x for j, x in enumerate(r) if x}
+            out[min(row)] = row
+        return out
 
 
 def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
@@ -192,10 +203,7 @@ def zero_lattice(ambient_dim: int) -> IntLattice:
 
 def hermite_form(m: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form; zero rows removed, row span unchanged."""
-    b = LatticeBuilder(m.cols)
-    for r in m.entries:
-        b.add(r)
-    return IntMatrix.from_rows(b.hermite_rows(), m.cols)
+    return lattice_from_rows(m.entries, m.cols).basis
 
 
 def smith_rank(m: IntMatrix) -> int:
@@ -231,24 +239,15 @@ def smith_rank(m: IntMatrix) -> int:
 
 
 def kernel_basis(m: IntMatrix) -> IntLattice:
-    """Saturated basis of {v in Z^cols : m v = 0}.
-
-    The kernel of an integer matrix is automatically saturated; the point is
-    that the returned rows span the full kernel, not a finite-index part.
-    """
-    r, c = m.rows, m.cols
-    b = LatticeBuilder(r + c)
+    """Saturated basis of {v in Z^cols : m v = 0}: the relations among m's columns."""
     e = m.entries
-    for j in range(c):
-        row = [e[i][j] for i in range(r)]
-        row.extend(1 if t == j else 0 for t in range(c))
-        b.add(row)
-    kern = [row[r:] for row in b.hermite_rows() if not any(row[:r])]
-    return lattice_from_rows(kern, c)
+    return relations_among(
+        {i: e[i][j] for i in range(m.rows) if e[i][j]} for j in range(m.cols)
+    )
 
 
 def lattice_member(v, lat: IntLattice) -> bool:
-    return _echelon_member(v, lat.basis.entries, lat.pivots, lat.ambient_dim)
+    return not _reduce(_sparse(v, lat.ambient_dim), lat.pivot_rows)
 
 
 def lattice_sum(a: IntLattice, b: IntLattice) -> IntLattice:
@@ -258,67 +257,39 @@ def lattice_sum(a: IntLattice, b: IntLattice) -> IntLattice:
 
 
 def lattice_intersect(a: IntLattice, b: IntLattice) -> IntLattice:
-    """Canonical basis of the intersection, by the kernel-of-stacked-bases method."""
+    """Canonical basis of the intersection, from the relations among both bases.
+
+    A relation x with sum_t x_t a_t + sum_s x_s b_s = 0 gives the common
+    element sum_t x_t a_t, and every common element arises this way.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ra = a.basis.rows
-    stacked = IntMatrix.from_rows(
-        a.basis.entries + b.basis.entries, a.ambient_dim
+    rows_a = list(a.pivot_rows.values())
+    rel = relations_among(rows_a + list(b.pivot_rows.values()))
+    return lattice_from_rows(
+        (combine(x[: len(rows_a)], rows_a) for x in rel.basis.entries), a.ambient_dim
     )
-    left_kernel = kernel_basis(stacked.transpose())
-    rows = []
-    for k in left_kernel.basis.entries:
-        vec = [0] * a.ambient_dim
-        for t in range(ra):
-            c = k[t]
-            if c:
-                arow = a.basis.entries[t]
-                for j in range(a.ambient_dim):
-                    vec[j] += c * arow[j]
-        rows.append(vec)
-    return lattice_from_rows(rows, a.ambient_dim)
 
 
 def relations_among(vectors) -> IntLattice:
     """Integer relations {x : sum_t x_t v_t = 0} among the given vectors.
 
-    Vectors may be sparse dicts {index: coeff} or dense sequences; they need
-    not live in a common small ambient space, so the relation lattice is
-    carved out condition-by-condition instead of through one huge matrix.
+    Vectors are dicts {key: coeff} with keys of any one sortable type, or
+    dense sequences.  Each v_t is echelonized together with a unit marker
+    e_t placed after every vector coordinate.  Every elimination step is
+    unimodular, so the echelon rows whose vector part vanished span the
+    saturated relation lattice.
     """
-    vecs = list(vectors)
-    m = len(vecs)
-    conditions: dict[int, list[tuple[int, int]]] = {}
+    vecs = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
+    keys = sorted({key for v in vecs for key, c in v.items() if c})
+    col = {key: i for i, key in enumerate(keys)}
+    width, m = len(col), len(vecs)
+    b = LatticeBuilder(width + m)
     for t, v in enumerate(vecs):
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        for idx, c in items:
-            if c:
-                conditions.setdefault(idx, []).append((t, c))
-    # Basis rows of the current relation lattice, starting from all of Z^m.
-    basis = [[1 if t == i else 0 for t in range(m)] for i in range(m)]
-    for idx in sorted(conditions):
-        if not basis:
-            break
-        entries = conditions[idx]
-        u = []
-        for brow in basis:
-            s = 0
-            for t, c in entries:
-                bt = brow[t]
-                if bt:
-                    s += c * bt
-            u.append(s)
-        if not any(u):
-            continue
-        kern = kernel_basis(IntMatrix.from_rows([u], len(basis)))
-        new_basis = []
-        for krow in kern.basis.entries:
-            combo = [0] * m
-            for i, ki in enumerate(krow):
-                if ki:
-                    bi = basis[i]
-                    for t in range(m):
-                        combo[t] += ki * bi[t]
-            new_basis.append(combo)
-        basis = new_basis
-    return lattice_from_rows(basis, m)
+        row = {col[key]: c for key, c in v.items() if c}
+        row[width + t] = 1
+        b.add(row)
+    return lattice_from_rows(
+        ({j - width: x for j, x in row.items()} for p, row in b._rows.items() if p >= width),
+        m,
+    )

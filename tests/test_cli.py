@@ -98,6 +98,17 @@ def test_verify_inner_cli(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_verify_johnson_seed(capsys):
+    argv = ("verify", "johnson", "--family", "Pn", "--n", "3", "--max-degree", "3")
+    outs = {}
+    for seed in (None, "1", "2", "42"):
+        code, out, _ = run_cli(capsys, *argv, *(() if seed is None else ("--seed", seed)))
+        assert code == 0
+        outs[seed] = out
+    assert outs["1"] != outs["2"]
+    assert outs["42"] == outs[None]
+
+
 def test_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2

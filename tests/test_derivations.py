@@ -179,7 +179,7 @@ def test_vector_roundtrip():
     n, k = 3, 2
     d = der_bracket(tau1(1, 2, n), tau1(1, 3, n))
     vec = der_vector(d)
-    assert len(vec) == image_dim(n, k)
+    assert all(0 <= j < image_dim(n, k) for j in vec)
     assert der_from_vector(n, k, vec) == d
 
 

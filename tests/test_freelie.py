@@ -16,7 +16,6 @@ from lieforge.freelie import (
     lyndon_words,
     mobius,
     multidegree,
-    positions_by_multidegree,
     standard_factorization,
     tensor_expand_word,
     tensor_to_lyndon,
@@ -157,15 +156,6 @@ def test_coords_roundtrip():
     n = 3
     elt = lie_bracket(lie_generator(n, 1), lie_bracket(lie_generator(n, 2), lie_generator(n, 3)))
     vec = lie_coords(elt, 3)
-    assert len(vec) == witt_rank(n, 3)
-    assert sum(1 for c in vec if c) == len(elt.coeffs)
-
-
-def test_multidegree_partition():
-    for n, k in [(2, 4), (3, 3), (4, 2)]:
-        groups = positions_by_multidegree(n, k)
-        assert sum(len(v) for v in groups.values()) == witt_rank(n, k)
-        for md, ps in groups.items():
-            assert sum(md) == k
-            for p in ps:
-                assert multidegree(lyndon_words(n, k)[p], n) == md
+    assert all(0 <= p < witt_rank(n, 3) for p in vec)
+    assert all(vec.values())
+    assert len(vec) == len(elt.coeffs)

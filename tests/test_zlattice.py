@@ -1,11 +1,15 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.zlattice import (
     IntMatrix,
     IntLattice,
     LatticeBuilder,
+    combine,
     hermite_form,
     kernel_basis,
     lattice_from_rows,
@@ -182,3 +186,144 @@ def test_relations_among():
     assert rel.basis.entries == ((2, 1, 0),)
     none = relations_among([[1, 0], [0, 1]])
     assert none.rank == 0
+
+
+def test_relations_among_zero_vectors_is_everything():
+    assert relations_among([{}, {0: 0}, [0, 0]]).basis.entries == (
+        (1, 0, 0),
+        (0, 1, 0),
+        (0, 0, 1),
+    )
+
+
+def test_combine():
+    vecs = [{0: 1, 3: 2}, {0: 2, 1: 5}]
+    assert combine([2, -1], vecs) == {1: -5, 3: 4}
+    assert combine({1: 3}, vecs) == {0: 6, 1: 15}
+    assert combine([0, 0], vecs) == {}
+
+
+def test_sparse_keys_outside_ambient_are_rejected():
+    b = LatticeBuilder(3)
+    b.add({0: 1})
+    lat = b.lattice()
+    for bad in ({3: 1}, {-1: 1}, {5: 0}):
+        with pytest.raises(ValueError):
+            b.add(bad)
+        with pytest.raises(ValueError):
+            b.contains(bad)
+        with pytest.raises(ValueError):
+            lattice_member(bad, lat)
+
+
+# ---------------------------------------------------------------------------
+# properties on random sparse matrices
+
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def sparse_matrices(draw, max_cols=6, max_rows=6):
+    """(cols, rows): up to max_rows sparse dict rows over cols columns."""
+    cols = draw(st.integers(1, max_cols))
+    entries = st.dictionaries(st.integers(0, cols - 1), st.integers(-6, 6), max_size=3)
+    return cols, draw(st.lists(entries, max_size=max_rows))
+
+
+def _dense(row: dict, cols: int) -> list[int]:
+    return [row.get(j, 0) for j in range(cols)]
+
+
+def _saturated(lat: IntLattice) -> bool:
+    """Whether Z^m / lat is torsion-free: the maximal minors have gcd 1."""
+    from sympy import Matrix
+
+    if lat.rank == 0:
+        return True
+    basis = Matrix(lat.basis.entries)
+    g = 0
+    for cols in combinations(range(lat.ambient_dim), lat.rank):
+        g = gcd(g, int(basis[:, list(cols)].det()))
+    return g == 1
+
+
+@PROPERTIES
+@given(sparse_matrices(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_dict_and_dense_input_agree(case, coeffs):
+    cols, rows = case
+    dense = [_dense(r, cols) for r in rows]
+    by_dict, by_list = LatticeBuilder(cols), LatticeBuilder(cols)
+    for r, d in zip(rows, dense):
+        assert by_dict.add(r) == by_list.add(d)
+    lat = by_dict.lattice()
+    assert lat == by_list.lattice() == lattice_from_rows(dense, cols)
+    assert lat == lattice_from_rows(rows, cols)
+    member = combine(coeffs[: len(rows)], rows)
+    probes = [member, {j: 2 * c + 1 for j, c in member.items()}, {cols - 1: 1}]
+    for v in probes:
+        want = lattice_member(v, lat)
+        assert lattice_member(_dense(v, cols), lat) is want
+        assert by_dict.contains(v) is by_list.contains(_dense(v, cols)) is want
+    assert lattice_member(member, lat)
+
+
+@PROPERTIES
+@given(sparse_matrices())
+def test_hermite_basis_against_sympy(case):
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    cols, rows = case
+    ours = lattice_from_rows(rows, cols)
+    basis = ours.basis.entries
+    # canonical shape: positive pivots in increasing columns, entries above
+    # each pivot reduced into [0, pivot)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (r, p) in enumerate(zip(basis, pivots)):
+        assert r[p] > 0
+        assert all(0 <= above[p] < r[p] for above in basis[:i])
+    assert lattice_from_rows(reversed(rows), cols) == ours
+    assert hermite_form(ours.basis) == ours.basis
+    if rows:
+        m = Matrix([_dense(r, cols) for r in rows])
+        assert ours.rank == m.rank()
+        # sympy's column-style form of the column-reversed transpose is the
+        # same canonical basis read backwards
+        h = hermite_normal_form(m[:, ::-1].T).T.tolist()
+        assert basis == tuple(tuple(int(x) for x in r[::-1]) for r in reversed(h))
+
+
+@PROPERTIES
+@given(sparse_matrices(max_cols=5))
+def test_relations_among_properties(case):
+    cols, vectors = case
+    m = len(vectors)
+    rel = relations_among(vectors)
+    assert rel.ambient_dim == m
+    for x in rel.basis.entries:
+        assert combine(x, vectors) == {}
+    if m:
+        assert rel.rank == m - smith_rank(IntMatrix.from_rows([_dense(v, cols) for v in vectors]))
+    assert _saturated(rel)
+    # tuple keys, as the center computation uses, give the same relations
+    relabelled = [{(j % 2, -j): c for j, c in v.items()} for v in vectors]
+    assert relations_among(relabelled) == rel
+
+
+@PROPERTIES
+@given(sparse_matrices(max_cols=4, max_rows=4), sparse_matrices(max_cols=4, max_rows=4))
+def test_intersection_and_kernel_properties(a_case, b_case):
+    cols = a_case[0]
+    b_rows = [{j % cols: c for j, c in r.items()} for r in b_case[1]]
+    a, b = lattice_from_rows(a_case[1], cols), lattice_from_rows(b_rows, cols)
+    inter = lattice_intersect(a, b)
+    assert inter == lattice_intersect(b, a)
+    assert all(lattice_member(v, a) and lattice_member(v, b) for v in inter.basis.entries)
+    # rank of the intersection: rank a + rank b - rank (a + b)
+    assert inter.rank == a.rank + b.rank - lattice_sum(a, b).rank
+    if a_case[1]:
+        mat = IntMatrix.from_rows([_dense(r, cols) for r in a_case[1]])
+        kern = kernel_basis(mat)
+        assert kern.rank == cols - smith_rank(mat)
+        assert _saturated(kern)
