@@ -68,14 +68,22 @@ def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     if a.rank_n != b.rank_n or a.max_degree != b.max_degree:
         raise ValueError("series mismatch")
     d = a.max_degree
-    return TruncSeries(a.rank_n, d, _truncated_product(a.coeffs, b.coeffs, d))
+    coeffs = _truncated_product(a.coeffs, _by_degree(b.coeffs, d), d)
+    return TruncSeries(a.rank_n, d, coeffs)
 
 
-def _truncated_product(a: dict, b: dict, d: int) -> dict:
-    """Coefficients of the product a*b, dropping monomials beyond degree d."""
+def _by_degree(b: dict, d: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Terms of b bucketed by monomial degree 0..d, the right operand form of
+    _truncated_product.  An operand used in many products is bucketed once."""
     by_deg: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
     for m, c in b.items():
         by_deg[len(m)].append((m, c))
+    return by_deg
+
+
+def _truncated_product(a: dict, by_deg: list, d: int) -> dict:
+    """Coefficients of the product a*b, dropping monomials beyond degree d;
+    b is given bucketed by degree (_by_degree)."""
     out: dict[tuple[int, ...], int] = {}
     for ma, ca in a.items():
         room = d - len(ma)
@@ -232,7 +240,7 @@ def series_endo_compose(a: SeriesEndo, b: SeriesEndo) -> SeriesEndo:
     if (a.rank_n, a.max_degree) != (b.rank_n, b.max_degree):
         raise ValueError("series endo mismatch")
     n, d = a.rank_n, a.max_degree
-    shifted = [series_sub_one(s) for s in a.images]
+    shifted = [_by_degree(series_sub_one(s), d) for s in a.images]
     prefix_cache: dict[tuple[int, ...], dict] = {(): {(): 1}}
 
     def prefix_series(mono: tuple[int, ...]) -> dict:
@@ -296,15 +304,15 @@ def series_inverse(s: TruncSeries) -> TruncSeries:
     if s.constant_term() != 1:
         raise ValueError("series must have constant term 1")
     n, d = s.rank_n, s.max_degree
-    neg = TruncSeries(n, d, {m: -c for m, c in s.coeffs.items() if m})
-    out = series_one(n, d)
-    power = series_one(n, d)
+    neg = _by_degree({m: -c for m, c in s.coeffs.items() if m}, d)
+    out: dict[tuple[int, ...], int] = {(): 1}
+    power: dict[tuple[int, ...], int] = {(): 1}
     for _ in range(d):
-        power = series_mul(power, neg)
-        if not power.coeffs:
+        power = _truncated_product(power, neg, d)
+        if not power:
             break
-        out = TruncSeries(n, d, _merge(out.coeffs, power.coeffs))
-    return out
+        out = _merge(out, power)
+    return TruncSeries(n, d, out)
 
 
 def _merge(a: dict, b: dict) -> dict:
@@ -322,11 +330,11 @@ def inner_series_endo(w: ReducedWord, d: int) -> SeriesEndo:
     """Series table of conjugation by w, from a single expansion of w."""
     n = w.rank_n
     mu = magnus_expand(w, d)
-    mu_inv = series_inverse(mu)
+    mu_inv = _by_degree(series_inverse(mu).coeffs, d)
     images = []
     for i in range(1, n + 1):
         s = series_mul(mu, magnus_expand(word_gen(n, i), d))
-        images.append(series_mul(s, mu_inv))
+        images.append(TruncSeries(n, d, _truncated_product(s.coeffs, mu_inv, d)))
     return SeriesEndo(n, d, tuple(images))
 
 

@@ -266,43 +266,48 @@ def _johnson_layer(family: str, n: int, k: int, max_degree: int):
     stay at (number of generators) x (previous spanning size).
 
     Returns (lattice, spanning tails as (series, inverse series), scanned).
+    A tail's inverse is only read when the next layer brackets against it,
+    so it is built for kept tails only, and top-layer tails (k == max_degree)
+    carry None in its place.
     """
     gen_series = _generator_series(family, n, max_degree + 1)
     builder = LatticeBuilder(image_dim(n, k))
     tails = []
     if k == 1:
-        candidates = gen_series
+        pairs = [(g, None) for g in gen_series]
     else:
         _, prev_tails, _ = _johnson_layer(family, n, k - 1, max_degree)
-        candidates = []
-        for gs, gsi in gen_series:
-            for cs, csi in prev_tails:
-                candidates.append(
-                    (
-                        series_endo_commutator(gs, gsi, cs, csi),
-                        series_endo_commutator(cs, csi, gs, gsi),
-                    )
-                )
-    for se, se_inv in candidates:
+        pairs = [(g, c) for g in gen_series for c in prev_tails]
+    for g, c in pairs:
+        se = g[0] if c is None else series_endo_commutator(*g, *c)
         deg = series_a_degree(se)
         if isinstance(deg, AboveCutoff) or deg != k:
             continue
         if builder.add(der_vector(series_johnson_image(se))):
+            if k == max_degree:
+                se_inv = None
+            elif c is None:
+                se_inv = g[1]
+            else:
+                se_inv = series_endo_commutator(*c, *g)
             tails.append((se, se_inv))
-    return builder.lattice(), tuple(tails), len(candidates)
+    return builder.lattice(), tuple(tails), len(pairs)
 
 
-def _random_commutator_series(gen_series, rng, weight: int):
-    """Random bracketing shape of the given weight over the generators."""
+def _random_commutator_series(gen_series, rng, weight: int, inverse: bool = False):
+    """Random bracketing shape of the given weight over the generators.
+
+    Returns (series, inverse series).  The inverse of a commutator is built
+    only when asked for, which a parent commutator does for both of its
+    subtrees; otherwise it is None.  Building it draws nothing from rng.
+    """
     if weight == 1:
         return gen_series[rng.randrange(len(gen_series))]
     split = rng.randint(1, weight - 1)
-    a, a_inv = _random_commutator_series(gen_series, rng, split)
-    b, b_inv = _random_commutator_series(gen_series, rng, weight - split)
-    return (
-        series_endo_commutator(a, a_inv, b, b_inv),
-        series_endo_commutator(b, b_inv, a, a_inv),
-    )
+    a, a_inv = _random_commutator_series(gen_series, rng, split, inverse=True)
+    b, b_inv = _random_commutator_series(gen_series, rng, weight - split, inverse=True)
+    se = series_endo_commutator(a, a_inv, b, b_inv)
+    return se, series_endo_commutator(b, b_inv, a, a_inv) if inverse else None
 
 
 def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) -> SuiteReport:

@@ -164,6 +164,10 @@ PINNED_STDOUT = {
         "af9947e0f92f9c7e82138020bd17d998bfe583660b4f98bced4f7fbca39e51aa",
     "census --n-range 3..4 --degree 3":
         "fa77de470de2371aec859fbd3db4fbe39212e7addf1b8b8d2acb2138e906b8ee",
+    "verify johnson --family Pn --n 3 --max-degree 4":
+        "ca3f7c0436daa98e5f2d2ef839a3b7389a2f00bc6fcbe66e1c31012d6df3db25",
+    "verify inner --n 3 --max-degree 5 --samples 20 --seed 0":
+        "10c2264c4f310daaf8c8099e429f7973a58ec1121eff7014aedc8ab39b625af8",
 }
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.freelie import (
     lie_bracket,
@@ -24,10 +25,13 @@ from lieforge.magnus import (
     series_a_degree,
     series_endo_commutator,
     series_endo_compose,
+    series_endo_identity,
     series_inverse,
     series_johnson_image,
     series_mul,
     series_sub_one,
+    _by_degree,
+    _truncated_product,
 )
 from lieforge.words import (
     EndoTable,
@@ -263,3 +267,73 @@ def test_series_commutator_matches_table_commutator_for_braids():
     bi = endo_to_series(evaluate(aut_word(n, sym_a(2, 3)).inverse()), d)
     comm = series_endo_commutator(a, ai, b, bi)
     assert [s.coeffs for s in direct.images] == [s.coeffs for s in comm.images]
+
+
+# ---------------------------------------------------------------------------
+# properties of the series layer
+
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def series_dicts(draw, n=3, d=4):
+    """A coefficient dict over monomials in 1..n of degree at most d."""
+    mono = st.lists(st.integers(1, n), max_size=d).map(tuple)
+    return draw(st.dictionaries(mono, st.integers(-4, 4).filter(bool), max_size=8))
+
+
+@PROPERTIES
+@given(series_dicts(), series_dicts(), st.integers(0, 4))
+def test_truncated_product_matches_naive(a, b, d):
+    a = {m: c for m, c in a.items() if len(m) <= d}
+    b = {m: c for m, c in b.items() if len(m) <= d}
+    full: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            full[ma + mb] = full.get(ma + mb, 0) + ca * cb
+    want = {m: c for m, c in full.items() if c and len(m) <= d}
+    assert _truncated_product(a, _by_degree(b, d), d) == want
+
+
+def _family_tables(family, n, d):
+    from lieforge.braids import evaluate, family_generators
+
+    gens = family_generators(family, n)
+    return [endo_to_series(evaluate(g), d) for g in gens] + [
+        endo_to_series(evaluate(g.inverse()), d) for g in gens
+    ]
+
+
+ASSOC_TABLES = {
+    family: _family_tables(family, 3, 4) for family in ("Inn", "Pn", "FnPn")
+}
+
+
+@PROPERTIES
+@given(
+    st.sampled_from(sorted(ASSOC_TABLES)),
+    st.lists(st.integers(0, 11), min_size=3, max_size=3),
+)
+def test_series_endo_compose_associative(family, picks):
+    tables = ASSOC_TABLES[family]
+    a, b, c = (tables[i % len(tables)] for i in picks)
+    lhs = series_endo_compose(series_endo_compose(a, b), c)
+    rhs = series_endo_compose(a, series_endo_compose(b, c))
+    assert [s.coeffs for s in lhs.images] == [s.coeffs for s in rhs.images]
+    one = series_endo_identity(3, 4)
+    assert series_endo_compose(a, one).images == a.images
+    assert series_endo_compose(one, a).images == a.images
+
+
+LETTER_PAIRS = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from([-2, -1, 1, 2])), max_size=6
+)
+
+
+@PROPERTIES
+@given(LETTER_PAIRS, LETTER_PAIRS, st.integers(1, 5))
+def test_magnus_expand_multiplicative(u, v, d):
+    u, v = word_from_pairs(3, u), word_from_pairs(3, v)
+    lhs = magnus_expand(word_mul(u, v), d)
+    rhs = series_mul(magnus_expand(u, d), magnus_expand(v, d))
+    assert lhs.coeffs == rhs.coeffs

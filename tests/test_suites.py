@@ -77,6 +77,49 @@ def test_johnson_small():
         verify_johnson_injectivity("Sigma", 3, 2)
 
 
+# (scanned, kept, rank) per layer k = 1..4 at n = 3, recorded when every
+# candidate still built both commutator orders
+JOHNSON_LAYERS_N3_D4 = {
+    "Pn": [(3, 3, 3), (9, 1, 1), (3, 2, 2), (6, 3, 3)],
+    "FnPn": [(6, 5, 5), (30, 4, 4), (24, 10, 10), (60, 21, 21)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(JOHNSON_LAYERS_N3_D4))
+def test_johnson_layer_tails_and_inverses(family):
+    from lieforge.magnus import series_endo_compose, series_endo_identity
+    from lieforge.suites import _johnson_layer
+
+    n, top = 3, 4
+    one = series_endo_identity(n, top + 1).images
+    triples = []
+    for k in range(1, top + 1):
+        lattice, tails, scanned = _johnson_layer(family, n, k, top)
+        triples.append((scanned, len(tails), lattice.rank))
+        for se, se_inv in tails:
+            if k == top:
+                assert se_inv is None
+                continue
+            assert series_endo_compose(se, se_inv).images == one
+            assert series_endo_compose(se_inv, se).images == one
+    assert triples == JOHNSON_LAYERS_N3_D4[family]
+
+
+def test_random_commutator_inverse_is_built_on_request():
+    from lieforge.magnus import series_endo_compose, series_endo_identity
+    from lieforge.suites import _generator_series, _random_commutator_series, _rng
+
+    gens = _generator_series("Pn", 3, 4)
+    one = series_endo_identity(3, 4).images
+    for attempt in range(6):
+        plain, with_inv = _rng(0, "t", attempt), _rng(0, "t", attempt)
+        se, none = _random_commutator_series(gens, plain, 3)
+        se2, se_inv = _random_commutator_series(gens, with_inv, 3, inverse=True)
+        assert none is None and se.images == se2.images
+        assert plain.getstate() == with_inv.getstate()
+        assert series_endo_compose(se, se_inv).images == one
+
+
 def test_key_theorem():
     rep = verify_key_theorem_hypothesis(3, 4)
     assert rep.passed, rep.failures()
