@@ -179,7 +179,7 @@ def _central_sublattice(n: int, k: int) -> IntLattice:
         for d in spanning
     ]
     vectors = [der_vector(d) for d in spanning]
-    rows = (combine(x, vectors) for x in relations_among(brackets).basis.entries)
+    rows = (combine(x, vectors) for x in relations_among(brackets).pivot_rows.values())
     return lattice_from_rows(rows, image_dim(n, k))
 
 
@@ -208,7 +208,7 @@ def dk_star_center(n: int, max_degree: int) -> dict[int, IntLattice]:
             continue
         xi_vec = der_vector(xi_derivation(n))
         xi_lat = lattice_from_rows([xi_vec], image_dim(n, 1))
-        if all(lattice_member(row, xi_lat) for row in lat.basis.entries):
+        if all(lattice_member(row, xi_lat) for row in lat.pivot_rows.values()):
             out[k] = zero_lattice(image_dim(n, 1))
         else:
             out[k] = lat

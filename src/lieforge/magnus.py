@@ -275,11 +275,19 @@ def series_endo_commutator(
     return out
 
 
+@lru_cache(maxsize=None)
+def _inverse_letter_by_degree(n: int, i: int, d: int) -> list:
+    """The series of x_i^-1, bucketed by degree (_by_degree); shared, read only."""
+    return _by_degree(magnus_expand(word_gen(n, i, -1), d).coeffs, d)
+
+
 def _series_displacements(se: SeriesEndo) -> list[TruncSeries]:
+    """The series of phi(x_i) x_i^-1 for each generator x_i."""
     n, d = se.rank_n, se.max_degree
     out = []
     for i, s in enumerate(se.images, start=1):
-        out.append(series_mul(s, magnus_expand(word_gen(n, i, -1), d)))
+        inv = _inverse_letter_by_degree(n, i, d)
+        out.append(TruncSeries(n, d, _truncated_product(s.coeffs, inv, d)))
     return out
 
 

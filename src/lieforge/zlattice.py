@@ -8,8 +8,9 @@ compare equal.
 
 Vectors are sparse: every function here takes a dict {index: coeff} (or a
 dense sequence, converted at the boundary), and elimination works on sparse
-rows keyed by pivot.  Only ``IntLattice.basis``, the canonical Hermite basis
-that callers compare, print and measure, is dense.
+rows keyed by pivot.  A lattice keeps its canonical Hermite basis as sparse
+rows too; the dense ``IntLattice.basis`` matrix is built only when a caller
+reads it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ class IntMatrix:
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return IntMatrix(len(data), cols, data)
+
+    @staticmethod
+    def from_sparse(rows, cols: int) -> "IntMatrix":
+        """The dense matrix of sparse rows, each a sequence of (index, coeff)."""
+        data = []
+        for row in rows:
+            dense = [0] * cols
+            for j, x in row:
+                dense[j] = x
+            data.append(tuple(dense))
+        return IntMatrix(len(data), cols, tuple(data))
 
 
 def _sparse(vec, ambient: int) -> dict[int, int]:
@@ -159,35 +171,37 @@ class LatticeBuilder:
                 if q:
                     _sub_multiple(above, q, row)
             done.append(row)
-        basis = []
-        for row in done:
-            dense = [0] * self.ambient
-            for t, x in row.items():
-                dense[t] = x
-            basis.append(tuple(dense))
-        return IntLattice(self.ambient, IntMatrix(len(basis), self.ambient, tuple(basis)))
+        return IntLattice(self.ambient, tuple(tuple(sorted(row.items())) for row in done))
 
 
 @dataclass(frozen=True)
 class IntLattice:
+    """A sublattice of Z^ambient_dim, stored through its canonical Hermite basis.
+
+    ``rows`` holds the basis rows in pivot order, each a tuple of
+    (index, coeff) pairs sorted by index, so equal lattices compare and hash
+    equal.
+    """
+
     ambient_dim: int
-    basis: IntMatrix  # rows form the canonical Hermite basis
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def rank(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return self.basis.rows == 0
+        return not self.rows
 
     @cached_property
     def pivot_rows(self) -> dict[int, dict[int, int]]:
         """The basis rows as sparse dicts keyed by pivot, in pivot order."""
-        out = {}
-        for r in self.basis.entries:
-            row = {j: x for j, x in enumerate(r) if x}
-            out[min(row)] = row
-        return out
+        return {row[0][0]: dict(row) for row in self.rows}
+
+    @cached_property
+    def basis(self) -> IntMatrix:
+        """The canonical basis as a dense matrix, built on first access."""
+        return IntMatrix.from_sparse(self.rows, self.ambient_dim)
 
 
 def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
@@ -198,12 +212,12 @@ def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
 
 
 def zero_lattice(ambient_dim: int) -> IntLattice:
-    return IntLattice(ambient_dim, IntMatrix.from_rows((), ambient_dim))
+    return IntLattice(ambient_dim, ())
 
 
 def hermite_form(m: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form; zero rows removed, row span unchanged."""
-    return lattice_from_rows(m.entries, m.cols).basis
+    return IntMatrix.from_sparse(lattice_from_rows(m.entries, m.cols).rows, m.cols)
 
 
 def smith_rank(m: IntMatrix) -> int:
@@ -253,7 +267,8 @@ def lattice_member(v, lat: IntLattice) -> bool:
 def lattice_sum(a: IntLattice, b: IntLattice) -> IntLattice:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return lattice_from_rows(a.basis.entries + b.basis.entries, a.ambient_dim)
+    rows = list(a.pivot_rows.values()) + list(b.pivot_rows.values())
+    return lattice_from_rows(rows, a.ambient_dim)
 
 
 def lattice_intersect(a: IntLattice, b: IntLattice) -> IntLattice:
@@ -267,7 +282,11 @@ def lattice_intersect(a: IntLattice, b: IntLattice) -> IntLattice:
     rows_a = list(a.pivot_rows.values())
     rel = relations_among(rows_a + list(b.pivot_rows.values()))
     return lattice_from_rows(
-        (combine(x[: len(rows_a)], rows_a) for x in rel.basis.entries), a.ambient_dim
+        (
+            combine({t: c for t, c in x.items() if t < len(rows_a)}, rows_a)
+            for x in rel.pivot_rows.values()
+        ),
+        a.ambient_dim,
     )
 
 

@@ -168,6 +168,10 @@ PINNED_STDOUT = {
         "ca3f7c0436daa98e5f2d2ef839a3b7389a2f00bc6fcbe66e1c31012d6df3db25",
     "verify inner --n 3 --max-degree 5 --samples 20 --seed 0":
         "10c2264c4f310daaf8c8099e429f7973a58ec1121eff7014aedc8ab39b625af8",
+    "center --object dk --n 4 --max-degree 4":
+        "863ce6e18e84378323ccf8c7806697dfccdaff7fc7b5cb6f3c0d108e1de795a6",
+    "ranks --object der-t-boundary --n 4 --max-degree 5":
+        "d96d516fb5e0d0c06b12433d4b06c734941bb965e79efcb41f29b3660849e996",
 }
 
 

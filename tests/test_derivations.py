@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.derivations import (
     TangentialData,
@@ -88,6 +89,30 @@ def test_der_bracket_examples():
     assert d.image(2) == lie_bracket(X[2], lie_bracket(X[3], X[1]))
     assert d.image(3) == lie_bracket(X[3], lie_bracket(X[1], X[2]))
     assert ev_boundary(d).is_zero()
+
+
+@st.composite
+def tangential_combinations(draw, n=3, max_degree=2):
+    """A random integer combination of a degree-k tangential basis, k <= max_degree."""
+    k = draw(st.integers(1, max_degree))
+    basis = tangential_basis(n, k)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    out = der_zero(n, k)
+    for c, d in zip(coeffs, basis):
+        out = der_add(out, der_scale(d, c))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(tangential_combinations(), tangential_combinations(), tangential_combinations())
+def test_der_bracket_jacobi(a, b, c):
+    jacobi = der_add(
+        der_add(der_bracket(a, der_bracket(b, c)), der_bracket(b, der_bracket(c, a))),
+        der_bracket(c, der_bracket(a, b)),
+    )
+    assert jacobi.degree == a.degree + b.degree + c.degree
+    assert jacobi.is_zero()
+    assert der_add(der_bracket(a, b), der_bracket(b, a)).is_zero()
 
 
 def test_ev_boundary_examples():

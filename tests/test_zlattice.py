@@ -44,7 +44,7 @@ def test_hermite_idempotent_and_span_preserving():
         m = IntMatrix.from_rows(rows)
         h = hermite_form(m)
         assert hermite_form(h) == h
-        lat = IntLattice(5, h)
+        lat = lattice_from_rows(h.entries, 5)
         # mutual membership of basis rows decides span equality
         assert all(lattice_member(r, lat) for r in rows)
         lat0 = lattice_from_rows(rows, 5)
@@ -74,7 +74,7 @@ def test_hermite_against_sympy():
     for _ in range(25):
         rows = [[rng.randint(-7, 7) for _ in range(4)] for _ in range(4)]
         ours = hermite_form(IntMatrix.from_rows(rows))
-        lat = IntLattice(4, ours)
+        lat = lattice_from_rows(ours.entries, 4)
         # sympy's is column-style; transpose in and out to compare row spans
         sm = Matrix(rows).T
         try:
@@ -327,3 +327,53 @@ def test_intersection_and_kernel_properties(a_case, b_case):
         kern = kernel_basis(mat)
         assert kern.rank == cols - smith_rank(mat)
         assert _saturated(kern)
+
+
+# ---------------------------------------------------------------------------
+# sparse storage and the lazily built dense basis
+
+
+@PROPERTIES
+@given(sparse_matrices(), st.integers(0, 6))
+def test_sparse_rows_and_dense_basis_agree(case, cut):
+    cols, rows = case
+    lat = lattice_from_rows(rows, cols)
+    assert "basis" not in lat.__dict__
+    assert lat.rank == len(lat.rows) == len(lat.pivot_rows)
+    assert lat.is_zero() == (lat.rank == 0)
+    basis = lat.basis
+    assert "basis" in lat.__dict__
+    assert (basis.rows, basis.cols) == (lat.rank, cols)
+    for row, (p, by_pivot), dense in zip(lat.rows, lat.pivot_rows.items(), basis.entries):
+        assert list(row) == sorted(row) and all(x for _, x in row)
+        assert row[0][0] == p and dict(row) == by_pivot
+        assert dense == tuple(by_pivot.get(j, 0) for j in range(cols))
+    # equality and hash follow the dense canonical bases
+    other = lattice_from_rows(rows[:cut], cols)
+    assert (lat == other) == (lat.basis == other.basis)
+    if lat == other:
+        assert hash(lat) == hash(other)
+    assert lat == lattice_from_rows(basis.entries, cols)
+    assert hash(lat) == hash(lattice_from_rows(basis.entries, cols))
+
+
+def test_rank_leaves_the_dense_basis_unbuilt(monkeypatch):
+    from lieforge.derivations import braidlike_lattice, braidlike_rank_formula
+    from lieforge.dk import dk_center, dk_component, dk_rank_formula, dk_star_center
+
+    bl = braidlike_lattice.__wrapped__(4, 4)
+    dk = dk_component.__wrapped__(4, 4).lattice
+    assert (bl.rank, dk.rank) == (braidlike_rank_formula(4, 4), dk_rank_formula(4, 4))
+    assert "basis" not in bl.__dict__ and "basis" not in dk.__dict__
+    # no library path reads the dense basis: the center computations and the
+    # lattice sum and intersection run with it unavailable
+    def unavailable(lat):
+        raise AssertionError("dense basis read")
+
+    monkeypatch.setattr(IntLattice, "basis", property(unavailable))
+    assert [lat.rank for lat in dk_center(4, 3).values()] == [1, 0, 0]
+    assert [lat.rank for lat in dk_star_center(4, 3).values()] == [0, 0, 0]
+    a = lattice_from_rows([{0: 2, 3: 1}, {1: 3}], 4)
+    b = lattice_from_rows([{0: 4, 3: 2}, {1: 1, 2: 1}], 4)
+    assert lattice_intersect(a, b).rank == 1
+    assert lattice_sum(a, b).rank == 3
