@@ -2,15 +2,22 @@
 
 Basis elements of degree k are the Lyndon words of length k over the
 alphabet 1..n, each standing for its standard bracketing (recursing on the
-longest proper Lyndon suffix).  Brackets are normalized by expanding into
-the tensor algebra and peeling the result back off the triangular Lyndon
-expansion; the expansion of a standard bracketing is its own word plus
-lexicographically larger terms, which makes the peeling exact and makes
+longest proper Lyndon suffix).  Brackets of basis elements are normalized
+by rewriting: for Lyndon words u < v the bracket [P_u, P_v] is P_uv when
+the standard factorization of uv is (u, v), and otherwise the Jacobi
+identity on u's standard factorization reduces it to shorter brackets
+(Reutenauer, Free Lie Algebras, 1993).
+
+The tensor-algebra path is kept for extracting Lie classes from Magnus
+series and as an independent oracle for the rewriting: the expansion of a
+standard bracketing is its own word plus lexicographically larger terms,
+which makes peeling a tensor back onto the Lyndon basis exact and makes
 non-Lie tensors detectable.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -158,19 +165,29 @@ def tensor_to_lyndon(n: int, tensor: dict) -> dict:
     k = degrees.pop()
     pos = lyndon_index(n, k).position
     out: dict[int, int] = {}
-    while work:
-        m = min(work)
+    # subtracting c * P_m only touches m and larger monomials, so visiting
+    # keys in increasing order from a heap reaches each one once; keys that
+    # cancelled before their turn are skipped
+    heap = list(work)
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)
+        c = work.get(m)
+        if not c:
+            continue
         if m not in pos:
             raise ValueError(f"tensor is not a Lie element (stray monomial {m})")
-        c = work[m]
-        out[pos[m]] = out.get(pos[m], 0) + c
+        out[pos[m]] = c
         for wu, cu in tensor_expand_word(m).items():
-            nv = work.get(wu, 0) - c * cu
+            old = work.get(wu, 0)
+            nv = old - c * cu
             if nv:
                 work[wu] = nv
+                if not old:
+                    heapq.heappush(heap, wu)
             else:
                 work.pop(wu, None)
-    return {p: v for p, v in out.items() if v}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +277,30 @@ def lie_sub(a: LieElement, b: LieElement) -> LieElement:
 
 @lru_cache(maxsize=None)
 def _basis_bracket(n: int, wa: tuple[int, ...], wb: tuple[int, ...]):
-    """Bracket of two basis bracketings, as a (position -> coeff) dict."""
+    """Bracket of two basis bracketings, as a (position -> coeff) dict.
+
+    For Lyndon words u < v, [P_u, P_v] = P_uv when u is a letter or u's
+    right standard factor is >= v.  Otherwise, with (u1, u2) the standard
+    factorization of u, Jacobi gives [P_u1, [P_u2, P_v]] - [P_u2, [P_u1, P_v]].
+    """
     if wa == wb:
         return {}
     if wb < wa:
         return {p: -c for p, c in _basis_bracket(n, wb, wa).items()}
-    t = _tensor_commutator(tensor_expand_word(wa), tensor_expand_word(wb))
-    return tensor_to_lyndon(n, t)
+    if len(wa) == 1 or standard_factorization(wa)[1] >= wb:
+        return {lyndon_index(n, len(wa) + len(wb)).position[wa + wb]: 1}
+    u1, u2 = standard_factorization(wa)
+    out: dict[int, int] = {}
+    for x, y, sign in ((u1, u2, 1), (u2, u1, -1)):
+        words = lyndon_words(n, len(y) + len(wb))
+        for p, c in _basis_bracket(n, y, wb).items():
+            for q, v in _basis_bracket(n, x, words[p]).items():
+                nv = out.get(q, 0) + sign * c * v
+                if nv:
+                    out[q] = nv
+                else:
+                    out.pop(q, None)
+    return out
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:

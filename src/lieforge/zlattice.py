@@ -15,6 +15,7 @@ reads it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,16 +163,29 @@ class LatticeBuilder:
         """The spanned lattice, through its canonical Hermite basis.
 
         Pivots are positive and the entries above each pivot lie in [0, pivot).
+        Rows are finished from the largest pivot down; each is reduced only at
+        the later pivot columns in its own support, smallest first, since a
+        subtraction at column j changes nothing left of j.
         """
-        done: list[dict] = []
-        for p, row in sorted(self._rows.items()):
+        done: dict[int, dict[int, int]] = {}
+        for p in sorted(self._rows, reverse=True):
+            row = self._rows[p]
             row = dict(row) if row[p] > 0 else {t: -x for t, x in row.items()}
-            for above in done:
-                q = above.get(p, 0) // row[p]
+            todo = [t for t in row if t in done]
+            heapq.heapify(todo)
+            while todo:
+                j = heapq.heappop(todo)
+                below = done[j]
+                q = row.get(j, 0) // below[j]
                 if q:
-                    _sub_multiple(above, q, row)
-            done.append(row)
-        return IntLattice(self.ambient, tuple(tuple(sorted(row.items())) for row in done))
+                    for t in below:
+                        if t not in row and t in done:
+                            heapq.heappush(todo, t)
+                    _sub_multiple(row, q, below)
+            done[p] = row
+        return IntLattice(
+            self.ambient, tuple(tuple(sorted(done[p].items())) for p in sorted(done))
+        )
 
 
 @dataclass(frozen=True)

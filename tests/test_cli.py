@@ -172,6 +172,10 @@ PINNED_STDOUT = {
         "863ce6e18e84378323ccf8c7806697dfccdaff7fc7b5cb6f3c0d108e1de795a6",
     "ranks --object der-t-boundary --n 4 --max-degree 5":
         "d96d516fb5e0d0c06b12433d4b06c734941bb965e79efcb41f29b3660849e996",
+    "ranks --object der-t-boundary --n 5 --max-degree 5":
+        "cf852de9da4a7d277c3dce35c437f63fb38ce1f7ab7cd7268138680ecea2ee97",
+    "census --n-range 3..5 --degree 4":
+        "1a8b66a70ef218ac188159111c8554f2ae816d79cb3fa733f2a9b195e2929212",
 }
 
 

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.freelie import (
     LieElement,
+    _basis_bracket,
+    _tensor_commutator,
     boundary_element,
     centralizer_of_linear,
     is_lyndon,
@@ -90,6 +93,68 @@ def test_jacobi_random():
             lie_add(lie_bracket(b, lie_bracket(c, a)), lie_bracket(c, lie_bracket(a, b))),
         )
         assert total.is_zero()
+
+
+@st.composite
+def lie_elements(draw, n):
+    """A homogeneous element of degree 1-3: an integer combination of basis words."""
+    k = draw(st.integers(1, 3))
+    dim = witt_rank(n, k)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+    return LieElement(n, {(k, p): c for p, c in enumerate(coeffs) if c})
+
+
+@st.composite
+def lie_triples(draw):
+    n = draw(st.integers(2, 3))
+    return tuple(draw(lie_elements(n)) for _ in range(3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lie_triples())
+def test_jacobi_and_antisymmetry_property(triple):
+    a, b, c = triple
+    total = lie_add(
+        lie_bracket(a, lie_bracket(b, c)),
+        lie_add(lie_bracket(b, lie_bracket(c, a)), lie_bracket(c, lie_bracket(a, b))),
+    )
+    assert total.is_zero()
+    assert lie_add(lie_bracket(a, b), lie_bracket(b, a)).is_zero()
+    assert lie_bracket(a, a).is_zero()
+
+
+def _peeled_bracket(n, a, b):
+    """The bracket of two basis words by tensor expansion and peeling."""
+    return tensor_to_lyndon(n, _tensor_commutator(tensor_expand_word(a), tensor_expand_word(b)))
+
+
+@st.composite
+def lyndon_pairs(draw):
+    """(n, a, b): Lyndon words over 1..n, n <= 4, of total length at most 7."""
+    n = draw(st.integers(2, 4))
+    ka = draw(st.integers(1, 6))
+    kb = draw(st.integers(1, 7 - ka))
+    a = draw(st.sampled_from(lyndon_words(n, ka)))
+    b = draw(st.sampled_from(lyndon_words(n, kb)))
+    return n, a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lyndon_pairs())
+def test_basis_bracket_rewriting_matches_tensor_peel(pair):
+    n, a, b = pair
+    rewritten = _basis_bracket.__wrapped__(n, a, b)
+    assert rewritten == _peeled_bracket(n, a, b)
+    assert _basis_bracket(n, a, b) == rewritten
+
+
+def test_basis_bracket_rewriting_exhaustive_n3():
+    n = 3
+    for ka in range(1, 6):
+        for kb in range(1, 7 - ka):
+            for a in lyndon_words(n, ka):
+                for b in lyndon_words(n, kb):
+                    assert _basis_bracket(n, a, b) == _peeled_bracket(n, a, b), (a, b)
 
 
 def test_bracket_agrees_with_tensor_commutator():

@@ -377,3 +377,16 @@ def test_rank_leaves_the_dense_basis_unbuilt(monkeypatch):
     b = lattice_from_rows([{0: 4, 3: 2}, {1: 1, 2: 1}], 4)
     assert lattice_intersect(a, b).rank == 1
     assert lattice_sum(a, b).rank == 3
+
+
+def test_canonical_shape_of_larger_lattices():
+    # back-substitution chains through several pivots, which the small random
+    # matrices above rarely produce
+    from lieforge.derivations import braidlike_lattice
+    from lieforge.dk import dk_component
+
+    for lat in (braidlike_lattice(4, 5), dk_component(4, 5).lattice):
+        pivots = {row[0][0]: row[0][1] for row in lat.rows}
+        assert all(x > 0 for x in pivots.values())
+        for row in lat.rows:
+            assert all(0 <= x < pivots[j] for j, x in row[1:] if j in pivots)
