@@ -88,14 +88,15 @@ def apply_derivation(d: HomDerivation, a: LieElement) -> LieElement:
     if d.rank_n != a.rank_n:
         raise ValueError("rank mismatch")
     n = d.rank_n
-    out = lie_zero(n)
+    out: dict = {}
     for (k, p), c in a.coeffs.items():
-        w = lyndon_words(n, k)[p]
-        term = d.apply_to_word(w)
-        if c != 1:
-            term = LieElement(n, {kp: c * v for kp, v in term.coeffs.items()})
-        out = lie_add(out, term)
-    return out
+        for kp, v in d.apply_to_word(lyndon_words(n, k)[p]).coeffs.items():
+            nv = out.get(kp, 0) + c * v
+            if nv:
+                out[kp] = nv
+            else:
+                out.pop(kp, None)
+    return LieElement(n, out)
 
 
 def der_add(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:

@@ -214,6 +214,17 @@ def johnson_image(e: EndoTable, d: int) -> HomDerivation:
 # expansions below the cutoff.  A SeriesEndo stores S_i = mu(phi(x_i)) and
 # composes by substitution X_j -> S_j - 1, so nested commutators stay
 # polynomial-sized no matter how long their reduced words would be.
+#
+# Substitution only does work where the cutoff leaves room.  When every S_j - 1
+# is X_j plus terms of degree >= shift + 1 (shift >= 1), a monomial X_m of
+# length L maps to X_m plus terms of degree >= L + shift, so every monomial
+# longer than d - shift maps to itself below the cutoff d and is copied
+# over without expanding it.  A table whose degree-1 part is not exactly
+# X_j in some image (a non-IA table) gets no shortcut.  A SeriesSubstitution
+# holds the bucketed S_j - 1, that bound and the memo of prefix products;
+# series_endo_compose builds one per call unless the caller passes one it
+# keeps across a run of compositions with the same left table, and drops
+# when the run ends.  Nothing is stored on the SeriesEndo itself.
 
 
 @dataclass
@@ -235,27 +246,66 @@ def series_endo_identity(n: int, d: int) -> SeriesEndo:
     )
 
 
-def series_endo_compose(a: SeriesEndo, b: SeriesEndo) -> SeriesEndo:
-    """Series table of (a o b): substitute a's images into b's series."""
-    if (a.rank_n, a.max_degree) != (b.rank_n, b.max_degree):
-        raise ValueError("series endo mismatch")
-    n, d = a.rank_n, a.max_degree
-    shifted = [_by_degree(series_sub_one(s), d) for s in a.images]
-    prefix_cache: dict[tuple[int, ...], dict] = {(): {(): 1}}
+class SeriesSubstitution:
+    """X_j -> S_j - 1 for the images S_j of one series table.
 
-    def prefix_series(mono: tuple[int, ...]) -> dict:
-        got = prefix_cache.get(mono)
+    keep is the longest monomial whose substitution can differ from itself
+    below the cutoff; prefix(m) is the substituted monomial m, memoized
+    together with all its prefixes.
+    """
+
+    def __init__(self, a: SeriesEndo):
+        d = a.max_degree
+        self.table = a
+        self.shifted = [_by_degree(series_sub_one(s), d) for s in a.images]
+        shift = None  # lowest degree of (S_j - 1 - X_j) over j, minus one
+        for j, by_deg in enumerate(self.shifted, start=1):
+            if by_deg[1] != [((j,), 1)]:
+                shift = 0
+                break
+            low = next((k for k in range(2, d + 1) if by_deg[k]), None)
+            if low is not None and (shift is None or low - 1 < shift):
+                shift = low - 1
+        self.keep = 0 if shift is None else d - shift
+        self.prefixes: dict[tuple[int, ...], dict] = {(): {(): 1}}
+
+    def prefix(self, mono: tuple[int, ...]) -> dict:
+        got = self.prefixes.get(mono)
         if got is None:
-            base = prefix_series(mono[:-1])
-            got = _truncated_product(base, shifted[mono[-1] - 1], d)
-            prefix_cache[mono] = got
+            base = self.prefix(mono[:-1])
+            got = _truncated_product(base, self.shifted[mono[-1] - 1], self.table.max_degree)
+            self.prefixes[mono] = got
         return got
 
+
+def series_endo_compose(
+    a: SeriesEndo, b: SeriesEndo, sub: SeriesSubstitution | None = None
+) -> SeriesEndo:
+    """Series table of (a o b): substitute a's images into b's series.
+
+    sub, when given, is a SeriesSubstitution of a kept by the caller so that
+    its prefix products serve several compositions with the same a.
+    """
+    if (a.rank_n, a.max_degree) != (b.rank_n, b.max_degree):
+        raise ValueError("series endo mismatch")
+    if sub is None:
+        sub = SeriesSubstitution(a)
+    elif sub.table is not a:
+        raise ValueError("substitution was built for another table")
+    n, d = a.rank_n, a.max_degree
+    keep, prefix = sub.keep, sub.prefix
     images = []
     for s in b.images:
         out: dict[tuple[int, ...], int] = {}
-        for mono, c in sorted(s.coeffs.items()):
-            for m2, c2 in prefix_series(mono).items():
+        for mono, c in s.coeffs.items():
+            if len(mono) > keep:
+                nv = out.get(mono, 0) + c
+                if nv:
+                    out[mono] = nv
+                else:
+                    del out[mono]
+                continue
+            for m2, c2 in prefix(mono).items():
                 nv = out.get(m2, 0) + c * c2
                 if nv:
                     out[m2] = nv
@@ -266,12 +316,23 @@ def series_endo_compose(a: SeriesEndo, b: SeriesEndo) -> SeriesEndo:
 
 
 def series_endo_commutator(
-    a: SeriesEndo, a_inv: SeriesEndo, b: SeriesEndo, b_inv: SeriesEndo
+    a: SeriesEndo,
+    a_inv: SeriesEndo,
+    b: SeriesEndo,
+    b_inv: SeriesEndo,
+    *,
+    a_sub: SeriesSubstitution | None = None,
+    a_inv_sub: SeriesSubstitution | None = None,
+    b_sub: SeriesSubstitution | None = None,
 ) -> SeriesEndo:
-    """Series table of the group commutator a b a^-1 b^-1."""
-    out = series_endo_compose(a_inv, b_inv)
-    out = series_endo_compose(b, out)
-    out = series_endo_compose(a, out)
+    """Series table of the group commutator a b a^-1 b^-1.
+
+    The optional substitutions of a, a_inv and b are passed on to the
+    compositions that substitute those tables.
+    """
+    out = series_endo_compose(a_inv, b_inv, a_inv_sub)
+    out = series_endo_compose(b, out, b_sub)
+    out = series_endo_compose(a, out, a_sub)
     return out
 
 

@@ -41,6 +41,7 @@ from .freelie import (
 )
 from .magnus import (
     AboveCutoff,
+    SeriesSubstitution,
     endo_to_series,
     gamma_degree,
     inner_series_endo,
@@ -273,25 +274,28 @@ def _johnson_layer(family: str, n: int, k: int, max_degree: int):
     gen_series = _generator_series(family, n, max_degree + 1)
     builder = LatticeBuilder(image_dim(n, k))
     tails = []
-    if k == 1:
-        pairs = [(g, None) for g in gen_series]
-    else:
-        _, prev_tails, _ = _johnson_layer(family, n, k - 1, max_degree)
-        pairs = [(g, c) for g in gen_series for c in prev_tails]
-    for g, c in pairs:
-        se = g[0] if c is None else series_endo_commutator(*g, *c)
-        deg = series_a_degree(se)
-        if isinstance(deg, AboveCutoff) or deg != k:
-            continue
-        if builder.add(der_vector(series_johnson_image(se))):
-            if k == max_degree:
-                se_inv = None
-            elif c is None:
-                se_inv = g[1]
+    prev_tails = (None,) if k == 1 else _johnson_layer(family, n, k - 1, max_degree)[1]
+    for g in gen_series:
+        # substitutions of g and g^-1 serve g's whole run of candidates and
+        # are dropped when the run ends
+        g_sub, g_inv_sub = SeriesSubstitution(g[0]), SeriesSubstitution(g[1])
+        for c in prev_tails:
+            if c is None:
+                se = g[0]
             else:
-                se_inv = series_endo_commutator(*c, *g)
-            tails.append((se, se_inv))
-    return builder.lattice(), tuple(tails), len(pairs)
+                se = series_endo_commutator(*g, *c, a_sub=g_sub, a_inv_sub=g_inv_sub)
+            deg = series_a_degree(se)
+            if isinstance(deg, AboveCutoff) or deg != k:
+                continue
+            if builder.add(der_vector(series_johnson_image(se))):
+                if k == max_degree:
+                    se_inv = None
+                elif c is None:
+                    se_inv = g[1]
+                else:
+                    se_inv = series_endo_commutator(*c, *g, b_sub=g_sub)
+                tails.append((se, se_inv))
+    return builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
 
 
 def _random_commutator_series(gen_series, rng, weight: int, inverse: bool = False):

@@ -176,6 +176,10 @@ PINNED_STDOUT = {
         "cf852de9da4a7d277c3dce35c437f63fb38ce1f7ab7cd7268138680ecea2ee97",
     "census --n-range 3..5 --degree 4":
         "1a8b66a70ef218ac188159111c8554f2ae816d79cb3fa733f2a9b195e2929212",
+    "verify johnson --family Inn --n 4 --max-degree 4":
+        "ca7fe58b90f4b8622977f022e8f5c01b9421edacced21d3d3aa3721582c1029a",
+    "verify johnson --family FnPn --n 3 --max-degree 5":
+        "e93325fef5b46bd4d7c75e553394279414710eab11db68bcb844921639c91dc7",
 }
 
 

@@ -23,6 +23,9 @@ from lieforge.magnus import (
     magnus_expand,
     same_degree,
     series_a_degree,
+    SeriesEndo,
+    SeriesSubstitution,
+    TruncSeries,
     series_endo_commutator,
     series_endo_compose,
     series_endo_identity,
@@ -337,3 +340,90 @@ def test_magnus_expand_multiplicative(u, v, d):
     lhs = magnus_expand(word_mul(u, v), d)
     rhs = series_mul(magnus_expand(u, d), magnus_expand(v, d))
     assert lhs.coeffs == rhs.coeffs
+
+
+def _naive_compose(a, b):
+    """(a o b) by expanding every monomial of b through X_j -> S_j - 1."""
+    n, d = a.rank_n, a.max_degree
+    shifted = [_by_degree(series_sub_one(s), d) for s in a.images]
+    images = []
+    for s in b.images:
+        out: dict = {}
+        for mono, c in s.coeffs.items():
+            sub = {(): 1}
+            for j in mono:
+                sub = _truncated_product(sub, shifted[j - 1], d)
+            for m, v in sub.items():
+                out[m] = out.get(m, 0) + c * v
+        images.append({m: v for m, v in out.items() if v})
+    return images
+
+
+# kinds of substituted tables: S_j - 1 is X_j plus terms from degree `low`
+# on, or (non-IA) its degree-1 part is missing, doubled or has an extra letter
+TABLE_KINDS = ("ia", "missing", "scaled", "extra")
+
+
+@st.composite
+def substitution_cases(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(TABLE_KINDS))
+    low = draw(st.integers(2, 5))
+    bad = draw(st.integers(1, n))
+    images = []
+    for j in range(1, n + 1):
+        mono = st.lists(st.integers(1, n), min_size=min(low, d), max_size=d).map(tuple)
+        coeffs = draw(st.dictionaries(mono, st.integers(-3, 3).filter(bool), max_size=6))
+        coeffs = {m: c for m, c in coeffs.items() if len(m) >= low}
+        coeffs[()] = 1
+        coeffs[(j,)] = 1
+        if j == bad and kind == "missing":
+            del coeffs[(j,)]
+        elif j == bad and kind == "scaled":
+            coeffs[(j,)] = 2
+        elif j == bad and kind == "extra" and n > 1:
+            coeffs[(j % n + 1,)] = draw(st.sampled_from([-1, 1]))
+        images.append(TruncSeries(n, d, coeffs))
+    b = [draw(series_dicts(n, d)) for _ in range(n)]
+    return (
+        kind,
+        SeriesEndo(n, d, tuple(images)),
+        SeriesEndo(n, d, tuple(TruncSeries(n, d, s) for s in b)),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(substitution_cases())
+def test_series_endo_compose_shortcut_matches_naive(case):
+    kind, a, b = case
+    want = _naive_compose(a, b)
+    assert [s.coeffs for s in series_endo_compose(a, b).images] == want
+    # a substitution kept across compositions gives the same tables
+    sub = SeriesSubstitution(a)
+    for _ in range(2):
+        assert [s.coeffs for s in series_endo_compose(a, b, sub).images] == want
+    # the shortcut is taken exactly where the cutoff leaves room: monomials
+    # longer than d - shift, shift = (lowest degree of S_j - 1 - X_j) - 1
+    n, d = a.rank_n, a.max_degree
+    ia = all(
+        {m: c for m, c in s.coeffs.items() if len(m) == 1} == {(j,): 1}
+        for j, s in enumerate(a.images, start=1)
+    )
+    lows = [
+        min(len(m) for m in s.coeffs if len(m) > 1)
+        for s in a.images
+        if any(len(m) > 1 for m in s.coeffs)
+    ]
+    if not ia:
+        assert kind != "ia" and sub.keep == d
+    elif lows:
+        assert sub.keep == d - (min(lows) - 1)
+    else:
+        assert sub.keep == 0
+
+
+def test_series_substitution_belongs_to_its_table():
+    a = series_endo_identity(2, 3)
+    with pytest.raises(ValueError):
+        series_endo_compose(series_endo_identity(2, 3), a, SeriesSubstitution(a))

@@ -108,6 +108,43 @@ def test_johnson_layer_tails_and_inverses(family):
     assert triples == JOHNSON_LAYERS_N3_D4[family]
 
 
+def _johnson_layers(family, n, top):
+    from lieforge.suites import _johnson_layer
+
+    _johnson_layer.cache_clear()
+    out = []
+    for k in range(1, top + 1):
+        lattice, tails, scanned = _johnson_layer(family, n, k, top)
+        series = [(se.images, None if se_inv is None else se_inv.images) for se, se_inv in tails]
+        out.append(((scanned, len(tails), lattice.rank), series))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(JOHNSON_LAYERS_N3_D4))
+def test_johnson_layer_substitution_reuse_changes_nothing(family, monkeypatch):
+    import gc
+
+    from lieforge import suites
+    from lieforge.magnus import SeriesSubstitution
+
+    n, top = 3, 4
+    reused = _johnson_layers(family, n, top)
+    # the per-generator substitutions are gone once the layers return: none
+    # is left alive, and no cached generator table or tail carries one
+    gc.collect()
+    assert not any(isinstance(o, SeriesSubstitution) for o in gc.get_objects())
+    tables = [t for g in suites._generator_series(family, n, top + 1) for t in g]
+    for k in range(1, top + 1):
+        tables += [t for tail in suites._johnson_layer(family, n, k, top)[1] for t in tail if t]
+    assert all(set(vars(t)) == {"rank_n", "max_degree", "images"} for t in tables)
+    with monkeypatch.context() as m:
+        m.setattr(suites, "SeriesSubstitution", lambda table: None)
+        fresh = _johnson_layers(family, n, top)
+    suites._johnson_layer.cache_clear()
+    assert [triple for triple, _ in reused] == JOHNSON_LAYERS_N3_D4[family]
+    assert reused == fresh
+
+
 def test_random_commutator_inverse_is_built_on_request():
     from lieforge.magnus import series_endo_compose, series_endo_identity
     from lieforge.suites import _generator_series, _random_commutator_series, _rng
