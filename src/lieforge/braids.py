@@ -32,14 +32,14 @@ from .words import (
     word_mul,
 )
 
-FAMILIES = ("Inn", "Pn", "IAnPlus", "PartialInner", "FnPn")
+FAMILIES = ("Inn", "Pn", "IAnPlus", "FnPn")
 
 
 @dataclass(frozen=True)
 class AutSymbol:
     """A named automorphism generator.
 
-    kind is one of sigma(i), a(i, j), inner(word), chi(k, i), cki(k, i),
+    kind is one of sigma(i), a(i, j), inner(word), chi(k, i),
     tri(i, word, gamma), cj(j); unused fields stay at their defaults.
     """
 
@@ -58,8 +58,6 @@ class AutSymbol:
             return f"inn({self.word})"
         if self.kind == "chi":
             return f"chi({self.i},{self.j})"
-        if self.kind == "cki":
-            return f"c({self.i},{self.j})"
         if self.kind == "tri":
             return f"tri({self.i};{self.word};{self.gamma})"
         if self.kind == "cj":
@@ -87,12 +85,6 @@ def sym_chi(k: int, i: int) -> AutSymbol:
     return AutSymbol("chi", i=k, j=i)
 
 
-def sym_cki(k: int, i: int) -> AutSymbol:
-    if not i <= k:
-        raise ValueError("need i <= k")
-    return AutSymbol("cki", i=k, j=i)
-
-
 def sym_tri(i: int, w: ReducedWord, gamma: ReducedWord) -> AutSymbol:
     for g, _ in w.letters:
         if g >= i:
@@ -114,9 +106,7 @@ def _check_symbol(sym: AutSymbol, n: int):
         raise ValueError(f"sigma index {sym.i} out of range for rank {n}")
     if sym.kind == "a" and not 1 <= sym.i < sym.j <= n:
         raise ValueError(f"pure braid indices ({sym.i},{sym.j}) out of range for rank {n}")
-    if sym.kind in ("chi", "cki") and sym.i > n:
-        raise ValueError(f"index {sym.i} out of range for rank {n}")
-    if sym.kind == "tri" and sym.i > n:
+    if sym.kind in ("chi", "tri") and sym.i > n:
         raise ValueError(f"index {sym.i} out of range for rank {n}")
     if sym.kind == "cj" and not 1 <= sym.j <= n - 1:
         raise ValueError(f"C index {sym.j} out of range for rank {n}")
@@ -174,60 +164,31 @@ def aut_commutator(a: AutWord, b: AutWord) -> AutWord:
     return aut_mul(a, b, a.inverse(), b.inverse())
 
 
-def sigma_table(i: int, n: int) -> EndoTable:
+def sigma_table(i: int, n: int, sign: int = 1) -> EndoTable:
+    """sigma_i, or its inverse for sign -1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"sigma index {i} out of range for rank {n}")
-    images = []
-    for t in range(1, n + 1):
-        if t == i:
-            images.append(word_gen(n, i + 1))
-        elif t == i + 1:
-            xi, xi1 = word_gen(n, i), word_gen(n, i + 1)
-            images.append(word_mul(word_mul(word_inverse(xi1), xi), xi1))
-        else:
-            images.append(word_gen(n, t))
+    xi, xi1 = word_gen(n, i), word_gen(n, i + 1)
+    images = [word_gen(n, t) for t in range(1, n + 1)]
+    if sign > 0:
+        images[i - 1], images[i] = xi1, word_conjugate(word_inverse(xi1), xi)
+    else:
+        images[i - 1], images[i] = word_conjugate(xi, xi1), xi
     return EndoTable(n, tuple(images))
 
 
-def sigma_table_inv(i: int, n: int) -> EndoTable:
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"sigma index {i} out of range for rank {n}")
-    images = []
-    for t in range(1, n + 1):
-        if t == i:
-            xi, xi1 = word_gen(n, i), word_gen(n, i + 1)
-            images.append(word_mul(word_mul(xi, xi1), word_inverse(xi)))
-        elif t == i + 1:
-            images.append(word_gen(n, i))
-        else:
-            images.append(word_gen(n, t))
-    return EndoTable(n, tuple(images))
-
-
-def pure_a_table(i: int, j: int, n: int) -> EndoTable:
-    """Evaluation of (sigma_{j-1}...sigma_{i+1}) sigma_i^2 (conjugator inverted)."""
+def pure_a_table(i: int, j: int, n: int, sign: int = 1) -> EndoTable:
+    """Evaluation of (sigma_{j-1}...sigma_{i+1}) sigma_i^{2 sign} (conjugator inverted)."""
     if not 1 <= i < j <= n:
         raise ValueError(f"pure braid indices ({i},{j}) out of range for rank {n}")
     conj = list(range(j - 1, i, -1))
     table = endo_identity(n)
     for t in conj:
         table = endo_compose(table, sigma_table(t, n))
-    table = endo_compose(table, sigma_table(i, n))
-    table = endo_compose(table, sigma_table(i, n))
+    table = endo_compose(table, sigma_table(i, n, sign))
+    table = endo_compose(table, sigma_table(i, n, sign))
     for t in reversed(conj):
-        table = endo_compose(table, sigma_table_inv(t, n))
-    return table
-
-
-def pure_a_table_inv(i: int, j: int, n: int) -> EndoTable:
-    conj = list(range(j - 1, i, -1))
-    table = endo_identity(n)
-    for t in conj:
-        table = endo_compose(table, sigma_table(t, n))
-    table = endo_compose(table, sigma_table_inv(i, n))
-    table = endo_compose(table, sigma_table_inv(i, n))
-    for t in reversed(conj):
-        table = endo_compose(table, sigma_table_inv(t, n))
+        table = endo_compose(table, sigma_table(t, n, -1))
     return table
 
 
@@ -242,26 +203,18 @@ def _range_word(n: int, lo: int, hi: int) -> ReducedWord:
     return word_from_pairs(n, [(i, 1) for i in range(lo, hi + 1)])
 
 
-def c_j_table(j: int, n: int) -> EndoTable:
+def c_j_table(j: int, n: int, sign: int = 1) -> EndoTable:
     """The curve-twist automorphism conjugating x_1..x_j by x_1...x_j and
-    x_{j+1}..x_n by (x_{j+1}...x_n)^-1."""
+    x_{j+1}..x_n by (x_{j+1}...x_n)^-1; both conjugators inverted for sign -1."""
     if not 1 <= j <= n - 1:
         raise ValueError(f"C index {j} out of range for rank {n}")
     head = _range_word(n, 1, j)
-    tail_inv = word_inverse(_range_word(n, j + 1, n))
+    tail = word_inverse(_range_word(n, j + 1, n))
+    if sign < 0:
+        head, tail = word_inverse(head), word_inverse(tail)
     images = []
     for t in range(1, n + 1):
-        w = head if t <= j else tail_inv
-        images.append(word_conjugate(w, word_gen(n, t)))
-    return EndoTable(n, tuple(images))
-
-
-def c_j_table_inv(j: int, n: int) -> EndoTable:
-    head_inv = word_inverse(_range_word(n, 1, j))
-    tail = _range_word(n, j + 1, n)
-    images = []
-    for t in range(1, n + 1):
-        w = head_inv if t <= j else tail
+        w = head if t <= j else tail
         images.append(word_conjugate(w, word_gen(n, t)))
     return EndoTable(n, tuple(images))
 
@@ -307,13 +260,9 @@ def symbol_table(sym: AutSymbol, n: int, sign: int = 1) -> EndoTable:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if sym.kind == "sigma":
-        return sigma_table(sym.i, n) if sign > 0 else sigma_table_inv(sym.i, n)
+        return sigma_table(sym.i, n, sign)
     if sym.kind == "a":
-        return (
-            pure_a_table(sym.i, sym.j, n)
-            if sign > 0
-            else pure_a_table_inv(sym.i, sym.j, n)
-        )
+        return pure_a_table(sym.i, sym.j, n, sign)
     if sym.kind == "inner":
         w = sym.word if sign > 0 else word_inverse(sym.word)
         if w.rank_n != n:
@@ -321,12 +270,10 @@ def symbol_table(sym: AutSymbol, n: int, sign: int = 1) -> EndoTable:
         return endo_inner(w)
     if sym.kind == "chi":
         return chi_table(sym.i, sym.j, n, sign)
-    if sym.kind == "cki":
-        return cki_table(sym.i, sym.j, n, sign)
     if sym.kind == "tri":
         return tri_table(sym.i, sym.word, sym.gamma, n, sign)
     if sym.kind == "cj":
-        return c_j_table(sym.j, n) if sign > 0 else c_j_table_inv(sym.j, n)
+        return c_j_table(sym.j, n, sign)
     raise ValueError(f"unknown symbol kind {sym.kind!r}")
 
 
@@ -382,12 +329,6 @@ def family_generators(family: str, n: int) -> list[AutWord]:
                     gamma = word_from_pairs(n, [(a, 1), (b, 1), (a, -1), (b, -1)])
                     out.append(aut_word(n, sym_tri(i, word_identity(n), gamma)))
         return out
-    if family == "PartialInner":
-        return [
-            aut_word(n, sym_cki(k, i))
-            for k in range(1, n + 1)
-            for i in range(1, k + 1)
-        ]
     if family == "FnPn":
         return family_generators("Inn", n) + family_generators("Pn", n)
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

@@ -245,10 +245,12 @@ def cokernel_census(n: int, k: int) -> dict:
         variant = dk_rank_closed_form_deg3(n)
         report["rank_dk_variant_closed_form"] = variant
         report["variant_closed_form_agrees"] = variant == dk_rank_formula(n, k)
+    b1 = bernoulli(1)
+    alternate = b1 - 1  # B_1 under the z / (e^z - 1) convention
     report["power_sum_convention"] = {
-        "b1": str(bernoulli(1)),
-        "alternate_display_b1": "-1/2",
-        "discrepancy_recorded": True,
+        "b1": str(b1),
+        "alternate_display_b1": str(alternate),
+        "discrepancy_recorded": b1 != alternate,
     }
     return report
 

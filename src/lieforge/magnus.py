@@ -4,7 +4,9 @@ Generators map to 1 + X_i in the ring of noncommutative power series
 truncated at a cutoff degree D; inverses map through the truncated
 geometric series.  The lowest surviving degree of mu(w) - 1 detects
 membership of w in the lower central series, which is what every
-degree computation here rests on.
+degree computation here rests on.  The degree and Johnson image of an
+automorphism are read off its series table (SeriesEndo), from the
+displacements phi(x_i) x_i^-1; word tables are expanded first.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .derivations import HomDerivation
-from .freelie import LieElement, lie_zero, tensor_to_lyndon
-from .words import EndoTable, ReducedWord, exponent_sums, word_gen, word_inverse, word_mul
+from .freelie import LieElement, tensor_to_lyndon
+from .words import EndoTable, ReducedWord, endo_identity, word_gen
 
 
 @dataclass(frozen=True)
@@ -139,71 +141,17 @@ def gamma_degree(w: ReducedWord, d: int) -> Degree:
 
 def lie_class(w: ReducedWord, d: int) -> LieElement:
     """Leading graded class of w in the free Lie ring, in Lyndon coordinates."""
-    deg = gamma_degree(w, d)
-    if isinstance(deg, AboveCutoff):
+    series = magnus_expand(w, d)
+    deg = series.lowest_degree()
+    if deg is None:
         raise ValueError("word has no class below the cutoff")
-    tensor = magnus_expand(w, d).degree_slice(deg)
-    coords = tensor_to_lyndon(w.rank_n, tensor)
-    return LieElement(w.rank_n, {(deg, p): c for p, c in coords.items()})
+    return _slice_class(series, deg)
 
 
-class NonIAError(ValueError):
-    """Raised when an endomorphism does not act trivially on the abelianization."""
-
-
-def _displacements(e: EndoTable) -> list[ReducedWord]:
-    n = e.rank_n
-    return [
-        word_mul(e.images[i - 1], word_inverse(word_gen(n, i)))
-        for i in range(1, n + 1)
-    ]
-
-
-def a_degree(e: EndoTable, d: int) -> Degree:
-    """Largest j <= d-1 with all generator displacements of degree >= j+1.
-
-    Displacement of x_i is e(x_i) x_i^-1; its lowest Magnus degree is the
-    generator-level filtration criterion.  AboveCutoff means every
-    displacement is trivial up to the cutoff.
-    """
-    if d < 2:
-        raise ValueError("cutoff degree must be at least 2")
-    displacements = _displacements(e)
-    for i, w in enumerate(displacements, start=1):
-        if any(exponent_sums(w)):
-            raise NonIAError(
-                f"endomorphism is not IA: image of x{i} shifts the abelianization"
-            )
-    lowest = None
-    all_identity = True
-    for w in displacements:
-        dg = gamma_degree(w, d)
-        if isinstance(dg, AboveCutoff):
-            all_identity = all_identity and dg.is_identity
-            continue
-        all_identity = False
-        if lowest is None or dg < lowest:
-            lowest = dg
-    if lowest is None:
-        return AboveCutoff(is_identity=all_identity)
-    return lowest - 1
-
-
-def johnson_image(e: EndoTable, d: int) -> HomDerivation:
-    """Degree-j derivation X_i -> class of e(x_i) x_i^-1, j = a_degree(e, d)."""
-    j = a_degree(e, d)
-    if isinstance(j, AboveCutoff):
-        raise ValueError("automorphism has no finite degree below the cutoff")
-    n = e.rank_n
-    images = []
-    for w in _displacements(e):
-        tensor = magnus_expand(w, j + 1).degree_slice(j + 1)
-        coords = tensor_to_lyndon(n, tensor)
-        if coords:
-            images.append(LieElement(n, {(j + 1, p): c for p, c in coords.items()}))
-        else:
-            images.append(lie_zero(n))
-    return HomDerivation(n, j, tuple(images))
+def _slice_class(s: TruncSeries, k: int) -> LieElement:
+    """The degree-k slice of s as a Lie element, in Lyndon coordinates."""
+    coords = tensor_to_lyndon(s.rank_n, s.degree_slice(k))
+    return LieElement(s.rank_n, {(k, p): c for p, c in coords.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -342,32 +290,6 @@ def _inverse_letter_by_degree(n: int, i: int, d: int) -> list:
     return _by_degree(magnus_expand(word_gen(n, i, -1), d).coeffs, d)
 
 
-def _series_displacements(se: SeriesEndo) -> list[TruncSeries]:
-    """The series of phi(x_i) x_i^-1 for each generator x_i."""
-    n, d = se.rank_n, se.max_degree
-    out = []
-    for i, s in enumerate(se.images, start=1):
-        inv = _inverse_letter_by_degree(n, i, d)
-        out.append(TruncSeries(n, d, _truncated_product(s.coeffs, inv, d)))
-    return out
-
-
-def series_a_degree(se: SeriesEndo) -> Degree:
-    """a_degree computed from a series table; cutoff is the table's max degree."""
-    lowest = None
-    for i, disp in enumerate(_series_displacements(se), start=1):
-        if any(len(m) == 1 for m in disp.coeffs):
-            raise NonIAError(
-                f"endomorphism is not IA: image of x{i} shifts the abelianization"
-            )
-        low = disp.lowest_degree()
-        if low is not None and (lowest is None or low < lowest):
-            lowest = low
-    if lowest is None:
-        return AboveCutoff()
-    return lowest - 1
-
-
 def series_inverse(s: TruncSeries) -> TruncSeries:
     """Inverse of a series with constant term 1, by the truncated Neumann sum."""
     if s.constant_term() != 1:
@@ -407,16 +329,56 @@ def inner_series_endo(w: ReducedWord, d: int) -> SeriesEndo:
     return SeriesEndo(n, d, tuple(images))
 
 
+class NonIAError(ValueError):
+    """Raised when an endomorphism does not act trivially on the abelianization."""
+
+
+def _read_off(se: SeriesEndo) -> tuple[Degree, list[TruncSeries]]:
+    """series_a_degree(se) together with the displacements phi(x_i) x_i^-1."""
+    n, d = se.rank_n, se.max_degree
+    displacements = []
+    for i, s in enumerate(se.images, start=1):
+        inv = _inverse_letter_by_degree(n, i, d)
+        disp = TruncSeries(n, d, _truncated_product(s.coeffs, inv, d))
+        if any(len(m) == 1 for m in disp.coeffs):
+            raise NonIAError(
+                f"endomorphism is not IA: image of x{i} shifts the abelianization"
+            )
+        displacements.append(disp)
+    lows = [low for disp in displacements if (low := disp.lowest_degree()) is not None]
+    return (min(lows) - 1 if lows else AboveCutoff()), displacements
+
+
+def series_a_degree(se: SeriesEndo) -> Degree:
+    """One less than the lowest degree surviving in any displacement, else
+    AboveCutoff; the cutoff is the table's max degree."""
+    return _read_off(se)[0]
+
+
 def series_johnson_image(se: SeriesEndo) -> HomDerivation:
-    j = series_a_degree(se)
+    """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = series_a_degree(se)."""
+    j, displacements = _read_off(se)
     if isinstance(j, AboveCutoff):
         raise ValueError("automorphism has no finite degree below the cutoff")
-    n = se.rank_n
-    images = []
-    for disp in _series_displacements(se):
-        coords = tensor_to_lyndon(n, disp.degree_slice(j + 1))
-        if coords:
-            images.append(LieElement(n, {(j + 1, p): c for p, c in coords.items()}))
-        else:
-            images.append(lie_zero(n))
-    return HomDerivation(n, j, tuple(images))
+    images = tuple(_slice_class(disp, j + 1) for disp in displacements)
+    return HomDerivation(se.rank_n, j, images)
+
+
+def a_degree(e: EndoTable, d: int) -> Degree:
+    """Largest j <= d-1 with all generator displacements of degree >= j+1.
+
+    Displacement of x_i is e(x_i) x_i^-1, read off the series table of e.
+    AboveCutoff means every displacement is trivial up to the cutoff;
+    is_identity is set exactly when e is the identity table.
+    """
+    if d < 2:
+        raise ValueError("cutoff degree must be at least 2")
+    deg = series_a_degree(endo_to_series(e, d))
+    if isinstance(deg, AboveCutoff) and e.images == endo_identity(e.rank_n).images:
+        return AboveCutoff(is_identity=True)
+    return deg
+
+
+def johnson_image(e: EndoTable, d: int) -> HomDerivation:
+    """Degree-j derivation X_i -> class of e(x_i) x_i^-1, j = a_degree(e, d)."""
+    return series_johnson_image(endo_to_series(e, d))

@@ -8,7 +8,6 @@ from lieforge.braids import (
     boundary,
     braid_abelianize,
     c_j_table,
-    c_j_table_inv,
     cki_table,
     chi_table,
     evaluate,
@@ -17,13 +16,10 @@ from lieforge.braids import (
     inner_word,
     is_braid_table,
     pure_a_table,
-    pure_a_table_inv,
     quotient_table,
     sigma_table,
-    sigma_table_inv,
     sym_a,
     sym_chi,
-    sym_cki,
     sym_tri,
     xi_word,
 )
@@ -47,10 +43,12 @@ def test_sigma_fixes_boundary_and_inverts():
         for i in range(1, n):
             s = sigma_table(i, n)
             assert endo_apply(s, boundary(n)) == boundary(n)
-            assert endo_equal(endo_compose(s, sigma_table_inv(i, n)), endo_identity(n))
-            assert endo_equal(endo_compose(sigma_table_inv(i, n), s), endo_identity(n))
+            assert endo_equal(endo_compose(s, sigma_table(i, n, -1)), endo_identity(n))
+            assert endo_equal(endo_compose(sigma_table(i, n, -1), s), endo_identity(n))
     with pytest.raises(ValueError):
         sigma_table(2, 2)
+    with pytest.raises(ValueError):
+        sigma_table(0, 3, sign=-1)
 
 
 def test_sigma_permutes_conjugacy_classes():
@@ -68,8 +66,12 @@ def test_pure_a_tables_are_braid_tables():
                 t = pure_a_table(i, j, n)
                 assert is_braid_table(t), (n, i, j)
                 assert endo_equal(
-                    endo_compose(t, pure_a_table_inv(i, j, n)), endo_identity(n)
+                    endo_compose(t, pure_a_table(i, j, n, sign=-1)), endo_identity(n)
                 )
+    # the inverse builder checks its indices like the forward one
+    for i, j, n in ((2, 1, 3), (1, 1, 3), (1, 4, 3), (0, 2, 3)):
+        with pytest.raises(ValueError):
+            pure_a_table(i, j, n, sign=-1)
 
 
 def test_a12_is_inverse_boundary_conjugation():
@@ -116,9 +118,12 @@ def test_cj_examples():
     assert c1.image(3) == parse_word(n, "x3^-1 x2^-1 x3 x2 x3")
     assert is_braid_table(c1)
     assert endo_apply(c1, boundary(n)) == boundary(n)
-    assert endo_equal(endo_compose(c1, c_j_table_inv(1, n)), endo_identity(n))
+    assert endo_equal(endo_compose(c1, c_j_table(1, n, sign=-1)), endo_identity(n))
     with pytest.raises(ValueError):
         c_j_table(3, 3)
+    for j in (0, 3):
+        with pytest.raises(ValueError):
+            c_j_table(j, 3, sign=-1)
 
 
 def test_quotient_examples():
@@ -192,8 +197,6 @@ def test_triangular_validation():
         sym_tri(3, word_identity(3), word_gen(3, 1))  # gamma not in commutator subgroup
     with pytest.raises(ValueError):
         sym_chi(2, 2)
-    with pytest.raises(ValueError):
-        sym_cki(1, 2)
 
 
 def test_tri_inverse():

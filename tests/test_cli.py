@@ -118,6 +118,16 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_degree_auto_errors(capsys):
+    for i in (1, 2):
+        code, out, err = run_cli(capsys, "degree", "--n", "3", "--max-degree", "3", "--auto", f"s{i}")
+        assert code == 2 and out == ""
+        assert f"error: endomorphism is not IA: image of x{i} shifts the abelianization" in err
+    code, out, err = run_cli(capsys, "degree", "--n", "3", "--max-degree", "1", "--auto", "A(1,2)")
+    assert code == 2 and out == ""
+    assert "error: cutoff degree must be at least 2" in err
+
+
 def test_deterministic_stdout(capsys):
     args = ("verify", "inner", "--n", "2", "--max-degree", "4", "--samples", "8", "--seed", "1")
     _, out1, _ = run_cli(capsys, *args)
@@ -180,6 +190,12 @@ PINNED_STDOUT = {
         "ca7fe58b90f4b8622977f022e8f5c01b9421edacced21d3d3aa3721582c1029a",
     "verify johnson --family FnPn --n 3 --max-degree 5":
         "e93325fef5b46bd4d7c75e553394279414710eab11db68bcb844921639c91dc7",
+    "degree --n 4 --max-degree 4 --auto A(1,2).A(2,3).A(1,2)^-1.A(2,3)^-1":
+        "539e59af3f9a5d40063e69e845cec353e64651acf76c17d80ca271c5f72a2500",
+    "degree --n 3 --max-degree 4 --auto xi.A(1,3)":
+        "7499bc2ddd14f53134fd23244bff73df97ad0f1015788a970b17ca5348b85daa",
+    "verify johnson --family Pn --n 4 --max-degree 3":
+        "be207632ae8a19c74eb030eb775c7215555f5fd64619c5095bc3dad99038ade1",
 }
 
 

@@ -126,6 +126,12 @@ def test_census_values():
     assert c["rank_dk_variant_closed_form"] == dk_rank_closed_form_deg3(4) == 2
     assert c["variant_closed_form_agrees"] is False
     assert c["power_sum_convention"]["b1"] == "1/2"
+    # b1 is B_1 of z e^z / (e^z - 1); the alternate display is B_1 of
+    # z / (e^z - 1), the z-coefficient of 1 / (1 + z/2! + z^2/3! + ...)
+    conv = c["power_sum_convention"]
+    assert Fraction(conv["b1"]) == bernoulli(1)
+    assert Fraction(conv["alternate_display_b1"]) == -Fraction(1, 2)
+    assert conv["discrepancy_recorded"] is (conv["b1"] != conv["alternate_display_b1"])
     c2 = cokernel_census(3, 2)
     assert c2["gap"] == 0
 

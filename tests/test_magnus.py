@@ -3,12 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieforge.derivations import HomDerivation
 from lieforge.freelie import (
+    LieElement,
     lie_bracket,
     lie_generator,
     lie_scale,
     lyndon_words,
     tensor_expand_word,
+    tensor_to_lyndon,
     to_tensor,
 )
 from lieforge.magnus import (
@@ -41,6 +44,7 @@ from lieforge.words import (
     endo_compose,
     endo_identity,
     endo_inner,
+    exponent_sums,
     word_commutator,
     word_from_pairs,
     word_gen,
@@ -197,6 +201,93 @@ def test_johnson_examples():
     assert jd == ad_derivation(lie_generator(n, 1))
     with pytest.raises(ValueError):
         johnson_image(endo_identity(n), 3)
+
+
+# ---------------------------------------------------------------------------
+# the degree read-off against the word-displacement path
+
+
+def _word_read_off(e, d):
+    """(degree, Johnson image or None) of e by expanding each displacement
+    word e(x_i) x_i^-1; ("x<i>", None) for the first non-IA generator."""
+    n = e.rank_n
+    disps = [word_mul(e.images[i - 1], word_inverse(word_gen(n, i))) for i in range(1, n + 1)]
+    for i, w in enumerate(disps, start=1):
+        if any(exponent_sums(w)):
+            return f"x{i}", None
+    lows = [magnus_expand(w, d).lowest_degree() for w in disps]
+    if all(low is None for low in lows):
+        return AboveCutoff(is_identity=all(w.is_identity() for w in disps)), None
+    j = min(low for low in lows if low is not None) - 1
+    images = []
+    for w in disps:
+        tensor = magnus_expand(w, j + 1).degree_slice(j + 1)
+        coords = tensor_to_lyndon(n, tensor)
+        images.append(LieElement(n, {(j + 1, p): c for p, c in coords.items()}))
+    return j, HomDerivation(n, j, tuple(images))
+
+
+@st.composite
+def aut_exprs(draw):
+    """(n, parse_aut_expr text): a product, P.P^-1 or a commutator of symbols."""
+    n = draw(st.integers(2, 4))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])
+    gen = st.integers(1, n).map(lambda i: f"x{i}")
+    symbol = st.one_of(
+        pair.map(lambda p: f"A({p[0]},{p[1]})"),
+        st.integers(1, n - 1).map(lambda j: f"C({j})"),
+        st.just("xi"),
+        st.lists(gen, min_size=1, max_size=2).map(lambda ws: f"inn({' '.join(ws)})"),
+        st.integers(1, n - 1).map(lambda i: f"s{i}"),
+    )
+    factor = st.tuples(symbol, st.booleans())
+    shape = draw(st.sampled_from(("product", "cancel", "commutator")))
+    p = draw(st.lists(factor, min_size=1, max_size=3 if shape == "product" else 2))
+    q = draw(st.lists(factor, min_size=1, max_size=2))
+
+    def inverse(fs):
+        return [(sym, not inv) for sym, inv in reversed(fs)]
+
+    if shape == "cancel":
+        p = p + inverse(p)
+    elif shape == "commutator":
+        p = p + q + inverse(p) + inverse(q)
+    return n, ".".join(sym + ("^-1" if inv else "") for sym, inv in p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(aut_exprs(), st.integers(2, 5))
+def test_read_off_matches_word_displacements(case, d):
+    from lieforge.braids import evaluate
+    from lieforge.cli import parse_aut_expr
+
+    n, text = case
+    e = evaluate(parse_aut_expr(n, text))
+    want, want_image = _word_read_off(e, d)
+    if isinstance(want, str):
+        for read_off in (a_degree, johnson_image):
+            with pytest.raises(NonIAError, match=f"image of {want} shifts"):
+                read_off(e, d)
+        return
+    got = a_degree(e, d)
+    assert got == want and type(got) is type(want), text
+    if isinstance(want, AboveCutoff):
+        assert got.is_identity == want.is_identity
+        with pytest.raises(ValueError, match="no finite degree"):
+            johnson_image(e, d)
+    else:
+        assert johnson_image(e, d) == want_image, text
+
+
+def test_read_off_identity_flag():
+    n = 3
+    assert a_degree(endo_identity(n), 3) == AboveCutoff(is_identity=True)
+    # a commutator of degree 3 reads AboveCutoff, not identity, at cutoff 3
+    c = word_commutator(word_gen(n, 1), word_commutator(word_gen(n, 2), word_gen(n, 3)))
+    assert a_degree(endo_inner(c), 3) == AboveCutoff(is_identity=False)
+    assert a_degree(endo_inner(c), 4) == 3
+    with pytest.raises(ValueError, match="cutoff degree must be at least 2"):
+        a_degree(endo_identity(n), 1)
 
 
 def test_series_endo_matches_table_composition():
