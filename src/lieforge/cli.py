@@ -21,7 +21,15 @@ from .derivations import (
     tangential_rank_formula,
 )
 from .freelie import lyndon_words, witt_rank
-from .magnus import AboveCutoff, a_degree, gamma_degree, johnson_image, lie_class, magnus_expand
+from .magnus import (
+    AboveCutoff,
+    endo_to_series,
+    gamma_degree,
+    lie_class,
+    magnus_expand,
+    series_a_degree,
+    series_johnson_image,
+)
 from .words import format_word, parse_word
 
 SCHEMA = "lieforge/1"
@@ -179,12 +187,9 @@ def cmd_center(args) -> int:
 def _lie_json(elt) -> dict:
     if elt.is_zero():
         return {"degree": None, "coeffs": {}}
-    k = elt.degree()
-    words = lyndon_words(elt.rank_n, k)
-    coeffs = {
-        "".join(str(a) for a in words[p]): c for (_, p), c in sorted(elt.coeffs.items())
-    }
-    return {"degree": k, "coeffs": coeffs}
+    words = lyndon_words(elt.rank_n, elt.degree)
+    coeffs = {"".join(str(a) for a in words[p]): c for p, c in sorted(elt.coeffs.items())}
+    return {"degree": elt.degree, "coeffs": coeffs}
 
 
 def cmd_degree(args) -> int:
@@ -204,12 +209,13 @@ def cmd_degree(args) -> int:
         _emit(args, payload, [row], ["gamma_degree", "is_identity", "lie_class"])
         return 0
     table = braids.evaluate(parse_aut_expr(args.n, args.auto))
-    da = a_degree(table, args.max_degree)
+    se = endo_to_series(table, args.max_degree)
+    da = series_a_degree(se)
     payload = {"command": "degree", "n": args.n, "auto": args.auto.strip()}
     if isinstance(da, AboveCutoff):
         row = {"a_degree": "above-cutoff", "johnson": json.dumps(None)}
     else:
-        jd = johnson_image(table, args.max_degree)
+        jd = series_johnson_image(se)
         images = {f"X{i}": _lie_json(jd.image(i)) for i in range(1, args.n + 1)}
         row = {"a_degree": da, "johnson": json.dumps(images, sort_keys=True)}
     _emit(args, payload, [row], ["a_degree", "johnson"])

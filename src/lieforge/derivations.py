@@ -7,8 +7,9 @@ delta(X_1 + ... + X_n) carve out the braid-like ones; every rank and
 intersection question becomes an integer-lattice question in generator-image
 coordinates.
 
-Derivation vectors are sparse dicts {index: coeff}, handed to the lattice
-layer as they are.
+Each image is a homogeneous Lie element whose coefficients are keyed by
+Lyndon position; a derivation vector concatenates those rows into one
+sparse dict {index: coeff}, handed to the lattice layer as it is.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .freelie import (
     LieElement,
     lie_add,
     lie_bracket,
-    lie_coords,
     lie_from_word,
     lie_generator,
+    lie_scale,
     lie_sub,
     lie_zero,
     lyndon_words,
@@ -54,7 +55,7 @@ class HomDerivation:
         for img in self.images:
             if img.rank_n != self.rank_n:
                 raise ValueError("image rank mismatch")
-            if not img.is_zero() and img.degree() != self.degree + 1:
+            if img.degree != self.degree + 1:
                 raise ValueError("image has wrong degree")
 
     def image(self, i: int) -> LieElement:
@@ -80,7 +81,7 @@ class HomDerivation:
 
 
 def der_zero(n: int, k: int) -> HomDerivation:
-    return HomDerivation(n, k, tuple(lie_zero(n) for _ in range(n)))
+    return HomDerivation(n, k, tuple(lie_zero(n, k + 1) for _ in range(n)))
 
 
 def apply_derivation(d: HomDerivation, a: LieElement) -> LieElement:
@@ -88,15 +89,16 @@ def apply_derivation(d: HomDerivation, a: LieElement) -> LieElement:
     if d.rank_n != a.rank_n:
         raise ValueError("rank mismatch")
     n = d.rank_n
-    out: dict = {}
-    for (k, p), c in a.coeffs.items():
-        for kp, v in d.apply_to_word(lyndon_words(n, k)[p]).coeffs.items():
-            nv = out.get(kp, 0) + c * v
+    words = lyndon_words(n, a.degree)
+    out: dict[int, int] = {}
+    for p, c in a.coeffs.items():
+        for q, v in d.apply_to_word(words[p]).coeffs.items():
+            nv = out.get(q, 0) + c * v
             if nv:
-                out[kp] = nv
+                out[q] = nv
             else:
-                out.pop(kp, None)
-    return LieElement(n, out)
+                out.pop(q, None)
+    return LieElement(n, a.degree + d.degree, out)
 
 
 def der_add(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
@@ -110,12 +112,7 @@ def der_add(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
 
 
 def der_scale(d: HomDerivation, c: int) -> HomDerivation:
-    return HomDerivation(
-        d.rank_n,
-        d.degree,
-        tuple(LieElement(d.rank_n, {kp: c * v for kp, v in img.coeffs.items()} if c else {})
-              for img in d.images),
-    )
+    return HomDerivation(d.rank_n, d.degree, tuple(lie_scale(img, c) for img in d.images))
 
 
 def der_sub(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
@@ -135,7 +132,7 @@ def der_bracket(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
 
 def ev_boundary(d: HomDerivation) -> LieElement:
     """d(X_1) + ... + d(X_n), the evaluation on the boundary element."""
-    out = lie_zero(d.rank_n)
+    out = lie_zero(d.rank_n, d.degree + 1)
     for img in d.images:
         out = lie_add(out, img)
     return out
@@ -143,12 +140,9 @@ def ev_boundary(d: HomDerivation) -> LieElement:
 
 def ad_derivation(x: LieElement) -> HomDerivation:
     """The inner derivation X_i -> [x, X_i]; tangential with every t_i = -x."""
-    k = x.degree()
-    if k is None:
-        raise ValueError("ad of zero has no well-defined degree")
     n = x.rank_n
     return HomDerivation(
-        n, k, tuple(lie_bracket(x, lie_generator(n, i)) for i in range(1, n + 1))
+        n, x.degree, tuple(lie_bracket(x, lie_generator(n, i)) for i in range(1, n + 1))
     )
 
 
@@ -199,7 +193,7 @@ def tangential_basis(n: int, k: int) -> list[HomDerivation]:
     out = []
     for i, u in tangential_coords(n, k):
         tangents = tuple(
-            lie_from_word(n, u) if t == i else lie_zero(n) for t in range(1, n + 1)
+            lie_from_word(n, u) if t == i else lie_zero(n, k) for t in range(1, n + 1)
         )
         out.append(TangentialData(n, k, tangents).derivation())
     return out
@@ -234,7 +228,7 @@ def der_vector(d: HomDerivation) -> dict[int, int]:
     block = witt_rank(d.rank_n, d.degree + 1)
     out: dict[int, int] = {}
     for i, img in enumerate(d.images):
-        for p, c in lie_coords(img, d.degree + 1).items():
+        for p, c in img.coeffs.items():
             out[i * block + p] = c
     return out
 
@@ -244,8 +238,8 @@ def der_from_vector(n: int, k: int, vec: dict) -> HomDerivation:
     coeffs: list[dict] = [{} for _ in range(n)]
     for j, c in vec.items():
         if c:
-            coeffs[j // block][(k + 1, j % block)] = int(c)
-    return HomDerivation(n, k, tuple(LieElement(n, c) for c in coeffs))
+            coeffs[j // block][j % block] = int(c)
+    return HomDerivation(n, k, tuple(LieElement(n, k + 1, c) for c in coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,7 @@ def tau1(i: int, j: int, n: int) -> HomDerivation:
         elif l == j:
             images.append(lie_bracket(lie_generator(n, j), lie_generator(n, i)))
         else:
-            images.append(lie_zero(n))
+            images.append(lie_zero(n, 2))
     return HomDerivation(n, 1, tuple(images))
 
 

@@ -8,6 +8,10 @@ the standard factorization of uv is (u, v), and otherwise the Jacobi
 identity on u's standard factorization reduces it to shorter brackets
 (Reutenauer, Free Lie Algebras, 1993).
 
+Lie elements are homogeneous.  One of degree k keeps its coefficients as
+{position: coeff} over lyndon_words(n, k), which is already the sparse row
+the lattice layer takes, so no conversion sits between the two.
+
 The tensor-algebra path is kept for extracting Lie classes from Magnus
 series and as an independent oracle for the rewriting: the expansion of a
 standard bracketing is its own word plus lexicographically larger terms,
@@ -18,7 +22,7 @@ non-Lie tensors detectable.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .zlattice import IntLattice, relations_among
@@ -88,24 +92,10 @@ def lyndon_words(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LyndonIndex:
-    rank_n: int
-    degree: int
-    basis_words: tuple[tuple[int, ...], ...]
-    position: dict = field(compare=False, repr=False, default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return len(self.basis_words)
-
-
 @lru_cache(maxsize=None)
-def lyndon_index(n: int, k: int) -> LyndonIndex:
-    words = lyndon_words(n, k)
-    idx = LyndonIndex(n, k, words)
-    idx.position.update({w: p for p, w in enumerate(words)})
-    return idx
+def lyndon_position(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Position of each Lyndon word of length k in lyndon_words(n, k)."""
+    return {w: p for p, w in enumerate(lyndon_words(n, k))}
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +153,7 @@ def tensor_to_lyndon(n: int, tensor: dict) -> dict:
     if len(degrees) != 1:
         raise ValueError("tensor is not homogeneous")
     k = degrees.pop()
-    pos = lyndon_index(n, k).position
+    pos = lyndon_position(n, k)
     out: dict[int, int] = {}
     # subtracting c * P_m only touches m and larger monomials, so visiting
     # keys in increasing order from a heap reaches each one once; keys that
@@ -196,47 +186,32 @@ def tensor_to_lyndon(n: int, tensor: dict) -> dict:
 
 @dataclass
 class LieElement:
-    """Graded element of the free Lie ring; coeffs maps (degree, position) -> int."""
+    """Homogeneous element of the free Lie ring on rank_n generators.
+
+    coeffs maps a position in lyndon_words(rank_n, degree) to its nonzero
+    coefficient: the element's row in Lyndon coordinates.  Zero has a degree.
+    """
 
     rank_n: int
+    degree: int
     coeffs: dict
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degrees(self) -> set[int]:
-        return {k for k, _ in self.coeffs}
-
-    def degree(self) -> int | None:
-        """Degree if homogeneous (zero counts as homogeneous of any degree)."""
-        ds = self.degrees()
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError("element is not homogeneous")
-        return ds.pop()
-
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (k, p), c in sorted(self.coeffs.items()):
-            w = lyndon_words(self.rank_n, k)[p]
-            word = "".join(str(a) for a in w)
-            bits.append(f"{c}*[{word}]")
-        return " + ".join(bits)
+        words = lyndon_words(self.rank_n, self.degree)
+        terms = (f"{c}*[{''.join(map(str, words[p]))}]" for p, c in sorted(self.coeffs.items()))
+        return " + ".join(terms) or "0"
 
 
-def lie_zero(n: int) -> LieElement:
-    return LieElement(n, {})
+def lie_zero(n: int, k: int) -> LieElement:
+    return LieElement(n, k, {})
 
 
 def lie_from_word(n: int, word: tuple[int, ...], c: int = 1) -> LieElement:
-    if c == 0:
-        return lie_zero(n)
     k = len(word)
-    p = lyndon_index(n, k).position[word]
-    return LieElement(n, {(k, p): c})
+    return LieElement(n, k, {lyndon_position(n, k)[word]: c} if c else {})
 
 
 def lie_generator(n: int, i: int) -> LieElement:
@@ -245,26 +220,24 @@ def lie_generator(n: int, i: int) -> LieElement:
 
 def boundary_element(n: int) -> LieElement:
     """X_1 + ... + X_n."""
-    return LieElement(n, {(1, i): 1 for i in range(n)})
+    return LieElement(n, 1, {i: 1 for i in range(n)})
 
 
 def lie_add(a: LieElement, b: LieElement) -> LieElement:
-    if a.rank_n != b.rank_n:
-        raise ValueError("rank mismatch")
+    if (a.rank_n, a.degree) != (b.rank_n, b.degree):
+        raise ValueError("rank or degree mismatch")
     out = dict(a.coeffs)
-    for kp, c in b.coeffs.items():
-        nv = out.get(kp, 0) + c
+    for p, c in b.coeffs.items():
+        nv = out.get(p, 0) + c
         if nv:
-            out[kp] = nv
+            out[p] = nv
         else:
-            out.pop(kp, None)
-    return LieElement(a.rank_n, out)
+            out.pop(p, None)
+    return LieElement(a.rank_n, a.degree, out)
 
 
 def lie_scale(a: LieElement, c: int) -> LieElement:
-    if c == 0:
-        return lie_zero(a.rank_n)
-    return LieElement(a.rank_n, {kp: c * v for kp, v in a.coeffs.items()})
+    return LieElement(a.rank_n, a.degree, {p: c * v for p, v in a.coeffs.items()} if c else {})
 
 
 def lie_neg(a: LieElement) -> LieElement:
@@ -288,7 +261,7 @@ def _basis_bracket(n: int, wa: tuple[int, ...], wb: tuple[int, ...]):
     if wb < wa:
         return {p: -c for p, c in _basis_bracket(n, wb, wa).items()}
     if len(wa) == 1 or standard_factorization(wa)[1] >= wb:
-        return {lyndon_index(n, len(wa) + len(wb)).position[wa + wb]: 1}
+        return {lyndon_position(n, len(wa) + len(wb))[wa + wb]: 1}
     u1, u2 = standard_factorization(wa)
     out: dict[int, int] = {}
     for x, y, sign in ((u1, u2, 1), (u2, u1, -1)):
@@ -307,43 +280,33 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     if a.rank_n != b.rank_n:
         raise ValueError("rank mismatch")
     n = a.rank_n
-    words_a = lyndon_words
-    out: dict[tuple[int, int], int] = {}
-    for (ka, pa), ca in a.coeffs.items():
-        wa = words_a(n, ka)[pa]
-        for (kb, pb), cb in b.coeffs.items():
-            wb = words_a(n, kb)[pb]
+    words_a, words_b = lyndon_words(n, a.degree), lyndon_words(n, b.degree)
+    out: dict[int, int] = {}
+    for pa, ca in a.coeffs.items():
+        wa = words_a[pa]
+        for pb, cb in b.coeffs.items():
             c = ca * cb
-            k = ka + kb
-            for p, v in _basis_bracket(n, wa, wb).items():
-                key = (k, p)
-                nv = out.get(key, 0) + c * v
+            for p, v in _basis_bracket(n, wa, words_b[pb]).items():
+                nv = out.get(p, 0) + c * v
                 if nv:
-                    out[key] = nv
+                    out[p] = nv
                 else:
-                    out.pop(key, None)
-    return LieElement(n, out)
+                    out.pop(p, None)
+    return LieElement(n, a.degree + b.degree, out)
 
 
 def to_tensor(a: LieElement) -> dict:
-    """Expansion of a homogeneous element in the degree-k tensor component."""
-    a.degree()  # raises on inhomogeneous input
-    n = a.rank_n
+    """Expansion of a in the degree-k tensor component, k = a.degree."""
+    words = lyndon_words(a.rank_n, a.degree)
     out: dict[tuple[int, ...], int] = {}
-    for (k, p), c in a.coeffs.items():
-        w = lyndon_words(n, k)[p]
-        for m, v in tensor_expand_word(w).items():
+    for p, c in a.coeffs.items():
+        for m, v in tensor_expand_word(words[p]).items():
             nv = out.get(m, 0) + c * v
             if nv:
                 out[m] = nv
             else:
                 out.pop(m, None)
     return out
-
-
-def lie_coords(a: LieElement, k: int) -> dict[int, int]:
-    """Coordinates {position: coeff} of the degree-k part in the Lyndon basis."""
-    return {p: c for (kk, p), c in a.coeffs.items() if kk == k}
 
 
 def centralizer_of_linear(x: LieElement, k: int) -> IntLattice:
@@ -354,9 +317,9 @@ def centralizer_of_linear(x: LieElement, k: int) -> IntLattice:
     """
     if x.is_zero():
         raise ValueError("centralizer of zero is everything; refusing")
-    if x.degree() != 1:
-        raise ValueError("x must be homogeneous of degree 1")
+    if x.degree != 1:
+        raise ValueError("x must have degree 1")
     n = x.rank_n
     return relations_among(
-        lie_coords(lie_bracket(x, lie_from_word(n, w)), k + 1) for w in lyndon_words(n, k)
+        lie_bracket(x, lie_from_word(n, w)).coeffs for w in lyndon_words(n, k)
     )

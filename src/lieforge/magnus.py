@@ -150,8 +150,7 @@ def lie_class(w: ReducedWord, d: int) -> LieElement:
 
 def _slice_class(s: TruncSeries, k: int) -> LieElement:
     """The degree-k slice of s as a Lie element, in Lyndon coordinates."""
-    coords = tensor_to_lyndon(s.rank_n, s.degree_slice(k))
-    return LieElement(s.rank_n, {(k, p): c for p, c in coords.items()})
+    return LieElement(s.rank_n, k, tensor_to_lyndon(s.rank_n, s.degree_slice(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +335,8 @@ class NonIAError(ValueError):
 def _read_off(se: SeriesEndo) -> tuple[Degree, list[TruncSeries]]:
     """series_a_degree(se) together with the displacements phi(x_i) x_i^-1."""
     n, d = se.rank_n, se.max_degree
+    if d < 2:
+        raise ValueError("cutoff degree must be at least 2")
     displacements = []
     for i, s in enumerate(se.images, start=1):
         inv = _inverse_letter_by_degree(n, i, d)
@@ -371,8 +372,6 @@ def a_degree(e: EndoTable, d: int) -> Degree:
     AboveCutoff means every displacement is trivial up to the cutoff;
     is_identity is set exactly when e is the identity table.
     """
-    if d < 2:
-        raise ValueError("cutoff degree must be at least 2")
     deg = series_a_degree(endo_to_series(e, d))
     if isinstance(deg, AboveCutoff) and e.images == endo_identity(e.rank_n).images:
         return AboveCutoff(is_identity=True)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -160,7 +161,8 @@ def test_parse_aut_expr():
 
 
 # stdout digests of ops that exercise the series product, lattice membership,
-# the Johnson layers, the centralizer of the boundary and the census cells
+# the Johnson layers, the centralizer of the boundary, the census cells and
+# the Lie class of a word; keys are split like a shell command line
 PINNED_STDOUT = {
     "ranks --object dk --n 3 --max-degree 3":
         "85a2c9f62a81246c925d2b5fef5ae8270230e96abf07c00f2e071af89e1f9125",
@@ -196,11 +198,15 @@ PINNED_STDOUT = {
         "7499bc2ddd14f53134fd23244bff73df97ad0f1015788a970b17ca5348b85daa",
     "verify johnson --family Pn --n 4 --max-degree 3":
         "be207632ae8a19c74eb030eb775c7215555f5fd64619c5095bc3dad99038ade1",
+    "degree --n 3 --max-degree 6 --word 'x1 x2 x1^-1 x2^-1'":
+        "ca07ef9e5721a7b0a27820b4a9e96ce668d0d09dad31cb4ce55684426597f22c",
+    "degree --n 3 --max-degree 5 --word 'x1 x2 x1^-1 x2^-1 x3 x2 x1 x2^-1 x1^-1 x3^-1'":
+        "7803cec1e44ecc19d0b469d6d6fbcb9840178ff21d11f8c6e36a9ef18859d948",
 }
 
 
 @pytest.mark.parametrize("op", sorted(PINNED_STDOUT))
 def test_pinned_stdout(capsys, op):
-    code, out, _ = run_cli(capsys, *op.split())
+    code, out, _ = run_cli(capsys, *shlex.split(op))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op]

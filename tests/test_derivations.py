@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforge.derivations import (
+    HomDerivation,
     TangentialData,
     ad_derivation,
     ad_image_lattice,
@@ -62,7 +63,7 @@ def test_leibniz_random():
     def rnd(k):
         dim = witt_rank(n, k)
         return LieElement(
-            n, {(k, p): rng.randint(-2, 2) for p in range(dim) if rng.random() < 0.7}
+            n, k, {p: rng.randint(-2, 2) for p in range(dim) if rng.random() < 0.7}
         )
 
     basis1 = tangential_basis(n, 1)
@@ -119,7 +120,7 @@ def test_ev_boundary_examples():
     n = 3
     assert ev_boundary(tau1(1, 2, n)).is_zero()
     tang = TangentialData(
-        n, 1, (lie_generator(n, 2), lie_zero(n), lie_zero(n))
+        n, 1, (lie_generator(n, 2), lie_zero(n, 1), lie_zero(n, 1))
     ).derivation()
     assert ev_boundary(tang) == lie_bracket(lie_generator(n, 1), lie_generator(n, 2))
 
@@ -146,10 +147,10 @@ def test_braidlike_members_kill_boundary():
     n, k = 3, 2
     coords = tangential_coords(n, k)
     for row in braidlike_lattice(n, k).basis.entries:
-        tangents = [lie_zero(n) for _ in range(n)]
+        tangents = [lie_zero(n, k) for _ in range(n)]
         for (i, u), c in zip(coords, row):
             if c:
-                tangents[i - 1] = lie_add(tangents[i - 1], LieElement(n, {(k, lyndon_words(n, k).index(u)): c}))
+                tangents[i - 1] = lie_add(tangents[i - 1], LieElement(n, k, {lyndon_words(n, k).index(u): c}))
         d = TangentialData(n, k, tuple(tangents)).derivation()
         assert ev_boundary(d).is_zero()
 
@@ -164,6 +165,8 @@ def test_ad_examples():
     assert apply_derivation(ad_derivation(b12), lie_generator(n, 3)) == lie_bracket(
         b12, lie_generator(n, 3)
     )
+    for k in (1, 2, 3):
+        assert ad_derivation(lie_zero(n, k)) == der_zero(n, k)
 
 
 def test_inner_cap_examples():
@@ -193,7 +196,7 @@ def test_ad_boundary_central_among_braidlike():
 
 def _tangential_from_vector(n, k, tv):
     coords = tangential_coords(n, k)
-    tangents = [lie_zero(n) for _ in range(n)]
+    tangents = [lie_zero(n, k) for _ in range(n)]
     for (i, u), c in zip(coords, tv):
         if c:
             tangents[i - 1] = lie_add(tangents[i - 1], lie_from_word(n, u, c))
@@ -215,6 +218,8 @@ def test_der_arithmetic():
     assert der_scale(a, 0) == der_zero(n, 1)
     with pytest.raises(ValueError):
         der_add(a, der_bracket(a, b))
+    with pytest.raises(ValueError, match="wrong degree"):
+        HomDerivation(n, 1, (lie_zero(n, 3),) + a.images[1:])
 
 
 def test_braidlike_image_lattice_contains_ad_boundary():

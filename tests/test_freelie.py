@@ -12,7 +12,6 @@ from lieforge.freelie import (
     is_lyndon,
     lie_add,
     lie_bracket,
-    lie_coords,
     lie_generator,
     lie_scale,
     lie_zero,
@@ -65,6 +64,8 @@ def test_bracket_examples():
     assert lie_bracket(X2, X1) == lie_scale(lie_bracket(X1, X2), -1)
     inner = lie_bracket(X1, X2)
     assert lie_bracket(inner, X1) == lie_scale(lie_bracket(X1, inner), -1)
+    with pytest.raises(ValueError):
+        lie_add(X1, inner)
 
 
 def test_tensor_examples():
@@ -82,7 +83,7 @@ def test_jacobi_random():
     def rnd(k):
         dim = witt_rank(n, k)
         return LieElement(
-            n, {(k, p): rng.randint(-3, 3) for p in range(dim) if rng.random() < 0.6}
+            n, k, {p: rng.randint(-3, 3) for p in range(dim) if rng.random() < 0.6}
         )
 
     for _ in range(40):
@@ -101,7 +102,7 @@ def lie_elements(draw, n):
     k = draw(st.integers(1, 3))
     dim = witt_rank(n, k)
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
-    return LieElement(n, {(k, p): c for p, c in enumerate(coeffs) if c})
+    return LieElement(n, k, {p: c for p, c in enumerate(coeffs) if c})
 
 
 @st.composite
@@ -121,6 +122,8 @@ def test_jacobi_and_antisymmetry_property(triple):
     assert total.is_zero()
     assert lie_add(lie_bracket(a, b), lie_bracket(b, a)).is_zero()
     assert lie_bracket(a, a).is_zero()
+    for x, y in ((a, b), (b, c), (a, a)):
+        assert lie_bracket(x, y).degree == x.degree + y.degree
 
 
 def _peeled_bracket(n, a, b):
@@ -162,8 +165,8 @@ def test_bracket_agrees_with_tensor_commutator():
     n = 2
     for _ in range(30):
         ka, kb = rng.choice([(1, 2), (2, 3), (1, 4), (3, 2)])
-        a = LieElement(n, {(ka, p): rng.randint(-2, 2) for p in range(witt_rank(n, ka))})
-        b = LieElement(n, {(kb, p): rng.randint(-2, 2) for p in range(witt_rank(n, kb))})
+        a = LieElement(n, ka, {p: rng.randint(-2, 2) for p in range(witt_rank(n, ka))})
+        b = LieElement(n, kb, {p: rng.randint(-2, 2) for p in range(witt_rank(n, kb))})
         ta, tb = to_tensor(a), to_tensor(b)
         comm = {}
         for wa, ca in ta.items():
@@ -212,7 +215,7 @@ def test_centralizer_examples():
     assert centralizer_of_linear(scaled, 1).basis.entries == ((1, 2),)
     assert centralizer_of_linear(boundary_element(3), 2).rank == 0
     with pytest.raises(ValueError):
-        centralizer_of_linear(lie_zero(2), 1)
+        centralizer_of_linear(lie_zero(2, 1), 1)
     with pytest.raises(ValueError):
         centralizer_of_linear(lie_bracket(lie_generator(2, 1), lie_generator(2, 2)), 1)
 
@@ -220,7 +223,7 @@ def test_centralizer_examples():
 def test_coords_roundtrip():
     n = 3
     elt = lie_bracket(lie_generator(n, 1), lie_bracket(lie_generator(n, 2), lie_generator(n, 3)))
-    vec = lie_coords(elt, 3)
+    assert elt.degree == 3
+    vec = elt.coeffs
     assert all(0 <= p < witt_rank(n, 3) for p in vec)
     assert all(vec.values())
-    assert len(vec) == len(elt.coeffs)

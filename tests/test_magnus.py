@@ -223,7 +223,7 @@ def _word_read_off(e, d):
     for w in disps:
         tensor = magnus_expand(w, j + 1).degree_slice(j + 1)
         coords = tensor_to_lyndon(n, tensor)
-        images.append(LieElement(n, {(j + 1, p): c for p, c in coords.items()}))
+        images.append(LieElement(n, j + 1, coords))
     return j, HomDerivation(n, j, tuple(images))
 
 
@@ -288,6 +288,8 @@ def test_read_off_identity_flag():
     assert a_degree(endo_inner(c), 4) == 3
     with pytest.raises(ValueError, match="cutoff degree must be at least 2"):
         a_degree(endo_identity(n), 1)
+    with pytest.raises(ValueError, match="cutoff degree must be at least 2"):
+        johnson_image(endo_inner(word_gen(n, 1)), 1)
 
 
 def test_series_endo_matches_table_composition():
