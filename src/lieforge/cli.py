@@ -4,6 +4,10 @@ Subcommands: witt, ranks, census, center, degree, expand, verify.  All output
 is machine readable (json or tsv), all numbers exact, and identical argv plus
 seed produce byte-identical stdout.  Exit codes: 0 success, 1 a binding check
 or verification failed, 2 usage error.
+
+The argument parser is built once per process, on the first call of main,
+and reused by later calls, so a caller that runs many queries in one process
+(a test suite, a benchmark loop) pays for it once.
 """
 
 from __future__ import annotations
@@ -24,11 +28,9 @@ from .freelie import lyndon_words, witt_rank
 from .magnus import (
     AboveCutoff,
     endo_to_series,
-    gamma_degree,
-    lie_class,
     magnus_expand,
-    series_a_degree,
-    series_johnson_image,
+    series_read_off,
+    word_read_off,
 )
 from .words import format_word, parse_word
 
@@ -197,25 +199,25 @@ def cmd_degree(args) -> int:
         raise UsageError("need exactly one of --word or --auto")
     if args.word is not None:
         w = parse_word(args.n, args.word)
-        dg = gamma_degree(w, args.max_degree)
+        wr = word_read_off(w, args.max_degree)
+        dg = wr.degree
         payload = {"command": "degree", "n": args.n, "word": format_word(w)}
         if isinstance(dg, AboveCutoff):
             row = {"gamma_degree": "above-cutoff", "is_identity": dg.is_identity,
                    "lie_class": json.dumps(None)}
         else:
             row = {"gamma_degree": dg, "is_identity": False,
-                   "lie_class": json.dumps(_lie_json(lie_class(w, args.max_degree)),
-                                           sort_keys=True)}
+                   "lie_class": json.dumps(_lie_json(wr.lie_class()), sort_keys=True)}
         _emit(args, payload, [row], ["gamma_degree", "is_identity", "lie_class"])
         return 0
     table = braids.evaluate(parse_aut_expr(args.n, args.auto))
-    se = endo_to_series(table, args.max_degree)
-    da = series_a_degree(se)
+    ro = series_read_off(endo_to_series(table, args.max_degree))
+    da = ro.degree
     payload = {"command": "degree", "n": args.n, "auto": args.auto.strip()}
     if isinstance(da, AboveCutoff):
         row = {"a_degree": "above-cutoff", "johnson": json.dumps(None)}
     else:
-        jd = series_johnson_image(se)
+        jd = ro.johnson_image()
         images = {f"X{i}": _lie_json(jd.image(i)) for i in range(1, args.n + 1)}
         row = {"a_degree": da, "johnson": json.dumps(images, sort_keys=True)}
     _emit(args, payload, [row], ["a_degree", "johnson"])
@@ -334,10 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the parser, built on the first call of main and reused by every later call
+# in the process (parsing leaves it unchanged)
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

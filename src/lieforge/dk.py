@@ -164,6 +164,7 @@ def check_dk_presentation(n: int) -> dict:
     return {"n": n, "checked": checked, "violations": violations, "passed": not violations}
 
 
+@lru_cache(maxsize=None)
 def _central_sublattice(n: int, k: int) -> IntLattice:
     """Elements of the degree-k component commuting with every generator."""
     spanning = dk_component(n, k).spanning

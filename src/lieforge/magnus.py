@@ -4,15 +4,18 @@ Generators map to 1 + X_i in the ring of noncommutative power series
 truncated at a cutoff degree D; inverses map through the truncated
 geometric series.  The lowest surviving degree of mu(w) - 1 detects
 membership of w in the lower central series, which is what every
-degree computation here rests on.  The degree and Johnson image of an
-automorphism are read off its series table (SeriesEndo), from the
-displacements phi(x_i) x_i^-1; word tables are expanded first.
+degree computation here rests on.  A word's degree and Lie class are read
+off one expansion (WordReadOff).  The degree and Johnson image of an
+automorphism are read off its series table (SeriesEndo) once, from the
+displacements phi(x_i) x_i^-1 (SeriesReadOff); word tables are expanded
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .derivations import HomDerivation
 from .freelie import LieElement, tensor_to_lyndon
@@ -131,21 +134,40 @@ def magnus_expand(w: ReducedWord, d: int) -> TruncSeries:
     return series
 
 
+class WordReadOff(NamedTuple):
+    """A word's expansion mu(w) and its filtration degree, read off once.
+
+    degree is the smallest degree <= d surviving in mu(w) - 1, else
+    AboveCutoff, flagged as the identity exactly when the word is.
+    """
+
+    series: TruncSeries
+    degree: Degree
+
+    def lie_class(self) -> LieElement:
+        """Leading graded class of the word, in Lyndon coordinates."""
+        if isinstance(self.degree, AboveCutoff):
+            raise ValueError("word has no class below the cutoff")
+        return _slice_class(self.series, self.degree)
+
+
+def word_read_off(w: ReducedWord, d: int) -> WordReadOff:
+    """Expand w once, truncated beyond degree d, and read its degree off."""
+    if w.is_identity():
+        return WordReadOff(series_one(w.rank_n, d), AboveCutoff(is_identity=True))
+    mu = magnus_expand(w, d)
+    low = mu.lowest_degree()
+    return WordReadOff(mu, AboveCutoff() if low is None else low)
+
+
 def gamma_degree(w: ReducedWord, d: int) -> Degree:
     """Smallest degree <= d surviving in mu(w) - 1, else AboveCutoff."""
-    if w.is_identity():
-        return AboveCutoff(is_identity=True)
-    low = magnus_expand(w, d).lowest_degree()
-    return AboveCutoff() if low is None else low
+    return word_read_off(w, d).degree
 
 
 def lie_class(w: ReducedWord, d: int) -> LieElement:
     """Leading graded class of w in the free Lie ring, in Lyndon coordinates."""
-    series = magnus_expand(w, d)
-    deg = series.lowest_degree()
-    if deg is None:
-        raise ValueError("word has no class below the cutoff")
-    return _slice_class(series, deg)
+    return word_read_off(w, d).lie_class()
 
 
 def _slice_class(s: TruncSeries, k: int) -> LieElement:
@@ -316,10 +338,9 @@ def _merge(a: dict, b: dict) -> dict:
     return out
 
 
-def inner_series_endo(w: ReducedWord, d: int) -> SeriesEndo:
-    """Series table of conjugation by w, from a single expansion of w."""
-    n = w.rank_n
-    mu = magnus_expand(w, d)
+def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
+    """Series table of conjugation by a word w, from its expansion mu = mu(w)."""
+    n, d = mu.rank_n, mu.max_degree
     mu_inv = _by_degree(series_inverse(mu).coeffs, d)
     images = []
     for i in range(1, n + 1):
@@ -332,8 +353,25 @@ class NonIAError(ValueError):
     """Raised when an endomorphism does not act trivially on the abelianization."""
 
 
-def _read_off(se: SeriesEndo) -> tuple[Degree, list[TruncSeries]]:
-    """series_a_degree(se) together with the displacements phi(x_i) x_i^-1."""
+class SeriesReadOff(NamedTuple):
+    """A series table's displacements phi(x_i) x_i^-1 and its degree
+    (series_a_degree), read off once."""
+
+    rank_n: int
+    degree: Degree
+    displacements: tuple[TruncSeries, ...]
+
+    def johnson_image(self) -> HomDerivation:
+        """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = self.degree."""
+        j = self.degree
+        if isinstance(j, AboveCutoff):
+            raise ValueError("automorphism has no finite degree below the cutoff")
+        images = tuple(_slice_class(disp, j + 1) for disp in self.displacements)
+        return HomDerivation(self.rank_n, j, images)
+
+
+def series_read_off(se: SeriesEndo) -> SeriesReadOff:
+    """Read the displacements of se off once, for its degree and Johnson image."""
     n, d = se.rank_n, se.max_degree
     if d < 2:
         raise ValueError("cutoff degree must be at least 2")
@@ -347,22 +385,19 @@ def _read_off(se: SeriesEndo) -> tuple[Degree, list[TruncSeries]]:
             )
         displacements.append(disp)
     lows = [low for disp in displacements if (low := disp.lowest_degree()) is not None]
-    return (min(lows) - 1 if lows else AboveCutoff()), displacements
+    degree = min(lows) - 1 if lows else AboveCutoff()
+    return SeriesReadOff(n, degree, tuple(displacements))
 
 
 def series_a_degree(se: SeriesEndo) -> Degree:
     """One less than the lowest degree surviving in any displacement, else
     AboveCutoff; the cutoff is the table's max degree."""
-    return _read_off(se)[0]
+    return series_read_off(se).degree
 
 
 def series_johnson_image(se: SeriesEndo) -> HomDerivation:
     """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = series_a_degree(se)."""
-    j, displacements = _read_off(se)
-    if isinstance(j, AboveCutoff):
-        raise ValueError("automorphism has no finite degree below the cutoff")
-    images = tuple(_slice_class(disp, j + 1) for disp in displacements)
-    return HomDerivation(se.rank_n, j, images)
+    return series_read_off(se).johnson_image()
 
 
 def a_degree(e: EndoTable, d: int) -> Degree:

@@ -43,13 +43,13 @@ from .magnus import (
     AboveCutoff,
     SeriesSubstitution,
     endo_to_series,
-    gamma_degree,
     inner_series_endo,
     johnson_image,
     same_degree,
     series_a_degree,
     series_endo_commutator,
-    series_johnson_image,
+    series_read_off,
+    word_read_off,
 )
 from .words import (
     endo_compose,
@@ -158,11 +158,12 @@ def verify_inner_equality(n: int, max_degree: int, samples: int, seed=42) -> Sui
         target = strata[idx % len(strata)]
         rng = _rng(seed, "inner", n, target, idx)
         w = _sample_word(n, target, rng, max_degree)
-        dg = gamma_degree(w, max_degree)
+        wr = word_read_off(w, max_degree)
+        dg = wr.degree
         if w.is_identity():
             da: object = AboveCutoff(is_identity=True)
         else:
-            da = series_a_degree(inner_series_endo(w, max_degree))
+            da = series_a_degree(inner_series_endo(wr.series))
         # a_degree resolves at most max_degree - 1 (displacements are only
         # expanded to max_degree), so a word of degree exactly max_degree
         # must come back as AboveCutoff on the automorphism side
@@ -284,10 +285,10 @@ def _johnson_layer(family: str, n: int, k: int, max_degree: int):
                 se = g[0]
             else:
                 se = series_endo_commutator(*g, *c, a_sub=g_sub, a_inv_sub=g_inv_sub)
-            deg = series_a_degree(se)
-            if isinstance(deg, AboveCutoff) or deg != k:
+            ro = series_read_off(se)
+            if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
                 continue
-            if builder.add(der_vector(series_johnson_image(se))):
+            if builder.add(der_vector(ro.johnson_image())):
                 if k == max_degree:
                     se_inv = None
                 elif c is None:
@@ -339,7 +340,8 @@ def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) ->
         rng = _rng(seed, "johnson-sample", family, n, attempt)
         attempt += 1
         se, _ = _random_commutator_series(gen_series, rng, rng.randint(1, max_degree))
-        deg = series_a_degree(se)
+        ro = series_read_off(se)
+        deg = ro.degree
         if isinstance(deg, AboveCutoff) or deg > max_degree:
             continue
         hits += 1
@@ -347,7 +349,7 @@ def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) ->
             f"sampled element of degree {deg} lies in the degree-{deg} lattice "
             f"(attempt {attempt - 1})",
             True,
-            lattice_member(der_vector(series_johnson_image(se)), layers[deg]),
+            lattice_member(der_vector(ro.johnson_image()), layers[deg]),
         )
     if family == "Pn":
         for i in range(1, n + 1):

@@ -210,3 +210,34 @@ def test_pinned_stdout(capsys, op):
     code, out, _ = run_cli(capsys, *shlex.split(op))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op]
+
+
+def test_shared_parser_survives_errors_and_help(capsys, monkeypatch):
+    # the parser is built once per process and serves every later call, so
+    # a usage error, --help or a rejected option must leave it intact
+    import lieforge.cli as cli
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    code, out, _ = run_cli(capsys, "degree", "--n", "2", "--bogus")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: lieforge")
+    code, out, _ = run_cli(capsys, "degree", "--help")
+    assert code == 0 and out.startswith("usage: lieforge degree")
+    code, _, _ = run_cli(
+        capsys, "ranks", "--object", "dk", "--n", "3", "--max-degree", "3", "--jobs", "2"
+    )
+    assert code == 2
+    for op in sorted(PINNED_STDOUT):
+        code, out, _ = run_cli(capsys, *shlex.split(op))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op], op
+    assert len(builds) == 1

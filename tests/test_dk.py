@@ -173,3 +173,18 @@ def test_faulhaber_poly_structure():
     assert isinstance(p, FaulhaberPoly)
     assert p.evaluate(3) == Fraction(14)
     assert p.coefficients[0] == Fraction(1, 3)
+
+
+def test_central_sublattice_cache():
+    from lieforge.dk import _central_sublattice
+
+    for n in range(3, 6):
+        for k in range(1, 4):
+            cached = _central_sublattice(n, k)
+            assert cached == _central_sublattice.__wrapped__(n, k)
+            assert _central_sublattice(n, k) is cached
+            rows, digest = cached.rows, hash(cached)
+            # the center printer reads the dense basis of the cached lattice
+            assert cached.basis.rows == cached.rank
+            assert cached.rows == rows and hash(cached) == digest
+            assert _central_sublattice(n, k) == _central_sublattice.__wrapped__(n, k)

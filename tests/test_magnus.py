@@ -35,7 +35,9 @@ from lieforge.magnus import (
     series_inverse,
     series_johnson_image,
     series_mul,
+    series_read_off,
     series_sub_one,
+    word_read_off,
     _by_degree,
     _truncated_product,
 )
@@ -207,7 +209,7 @@ def test_johnson_examples():
 # the degree read-off against the word-displacement path
 
 
-def _word_read_off(e, d):
+def _read_off_by_words(e, d):
     """(degree, Johnson image or None) of e by expanding each displacement
     word e(x_i) x_i^-1; ("x<i>", None) for the first non-IA generator."""
     n = e.rank_n
@@ -263,7 +265,7 @@ def test_read_off_matches_word_displacements(case, d):
 
     n, text = case
     e = evaluate(parse_aut_expr(n, text))
-    want, want_image = _word_read_off(e, d)
+    want, want_image = _read_off_by_words(e, d)
     if isinstance(want, str):
         for read_off in (a_degree, johnson_image):
             with pytest.raises(NonIAError, match=f"image of {want} shifts"):
@@ -271,12 +273,17 @@ def test_read_off_matches_word_displacements(case, d):
         return
     got = a_degree(e, d)
     assert got == want and type(got) is type(want), text
+    ro = series_read_off(endo_to_series(e, d))
+    assert same_degree(ro.degree, want), text
     if isinstance(want, AboveCutoff):
         assert got.is_identity == want.is_identity
         with pytest.raises(ValueError, match="no finite degree"):
             johnson_image(e, d)
+        with pytest.raises(ValueError, match="no finite degree"):
+            ro.johnson_image()
     else:
         assert johnson_image(e, d) == want_image, text
+        assert ro.johnson_image() == want_image, text
 
 
 def test_read_off_identity_flag():
@@ -311,15 +318,55 @@ def test_series_inverse_and_inner_series():
         mu = magnus_expand(w, 4)
         inv = series_inverse(mu)
         assert series_mul(mu, inv).coeffs == {(): 1}
-        se = inner_series_endo(w, 4)
+        se = inner_series_endo(mu)
         table = endo_to_series(endo_inner(w), 4)
         assert [s.coeffs for s in se.images] == [s.coeffs for s in table.images]
+
+
+@st.composite
+def words_with_identity(draw, n_max=3):
+    """A reduced word over at most 3 generators, possibly a commutator, possibly 1."""
+    n = draw(st.integers(2, n_max))
+    letters = st.tuples(st.integers(1, n), st.sampled_from((1, -1, 2, -2)))
+    u = word_from_pairs(n, draw(st.lists(letters, max_size=4)))
+    if draw(st.booleans()):
+        v = word_from_pairs(n, draw(st.lists(letters, max_size=3)))
+        u = word_commutator(u, v)
+    return u
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(words_with_identity(), st.integers(1, 5))
+def test_word_read_off_matches_separate_reads(w, d):
+    wr = word_read_off(w, d)
+    mu = magnus_expand(w, d)
+    assert wr.series.coeffs == mu.coeffs
+    dg = gamma_degree(w, d)
+    assert same_degree(wr.degree, dg)
+    assert repr(wr.degree) == repr(dg)
+    assert isinstance(wr.degree, AboveCutoff) == (mu.lowest_degree() is None)
+    if isinstance(wr.degree, AboveCutoff):
+        # the identity flag is set exactly on the identity word
+        assert wr.degree.is_identity == w.is_identity()
+        with pytest.raises(ValueError, match="no class below the cutoff"):
+            wr.lie_class()
+        with pytest.raises(ValueError, match="no class below the cutoff"):
+            lie_class(w, d)
+    else:
+        k = mu.lowest_degree()
+        assert wr.degree == k
+        slice_k = {m: c for m, c in mu.coeffs.items() if len(m) == k}
+        expected = LieElement(w.rank_n, k, tensor_to_lyndon(w.rank_n, slice_k))
+        assert wr.lie_class() == expected == lie_class(w, d)
+    se = inner_series_endo(wr.series)
+    table = endo_to_series(endo_inner(w), d)
+    assert [s.coeffs for s in se.images] == [s.coeffs for s in table.images]
 
 
 def test_series_johnson_matches_word_johnson():
     n = 3
     c = word_commutator(word_gen(n, 1), word_gen(n, 2))
-    se = inner_series_endo(c, 5)
+    se = inner_series_endo(magnus_expand(c, 5))
     assert series_a_degree(se) == 2
     assert series_johnson_image(se) == johnson_image(endo_inner(c), 5)
 
@@ -327,10 +374,11 @@ def test_series_johnson_matches_word_johnson():
 def test_series_commutator_matches_group_commutator():
     n = 2
     a, b = word_gen(n, 1), word_gen(n, 2)
-    sa, sb = inner_series_endo(a, 4), inner_series_endo(b, 4)
-    sa_i, sb_i = inner_series_endo(word_inverse(a), 4), inner_series_endo(word_inverse(b), 4)
+    sa, sb = inner_series_endo(magnus_expand(a, 4)), inner_series_endo(magnus_expand(b, 4))
+    sa_i = inner_series_endo(magnus_expand(word_inverse(a), 4))
+    sb_i = inner_series_endo(magnus_expand(word_inverse(b), 4))
     comm = series_endo_commutator(sa, sa_i, sb, sb_i)
-    direct = inner_series_endo(word_commutator(a, b), 4)
+    direct = inner_series_endo(magnus_expand(word_commutator(a, b), 4))
     assert [s.coeffs for s in comm.images] == [s.coeffs for s in direct.images]
 
 
