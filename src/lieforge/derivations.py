@@ -115,10 +115,6 @@ def der_scale(d: HomDerivation, c: int) -> HomDerivation:
     return HomDerivation(d.rank_n, d.degree, tuple(lie_scale(img, c) for img in d.images))
 
 
-def der_sub(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
-    return der_add(d1, der_scale(d2, -1))
-
-
 def der_bracket(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
     """Commutator of derivations: X_i -> d1(d2(X_i)) - d2(d1(X_i))."""
     if d1.rank_n != d2.rank_n:
@@ -231,15 +227,6 @@ def der_vector(d: HomDerivation) -> dict[int, int]:
         for p, c in img.coeffs.items():
             out[i * block + p] = c
     return out
-
-
-def der_from_vector(n: int, k: int, vec: dict) -> HomDerivation:
-    block = witt_rank(n, k + 1)
-    coeffs: list[dict] = [{} for _ in range(n)]
-    for j, c in vec.items():
-        if c:
-            coeffs[j // block][j % block] = int(c)
-    return HomDerivation(n, k, tuple(LieElement(n, k + 1, c) for c in coeffs))
 
 
 @lru_cache(maxsize=None)

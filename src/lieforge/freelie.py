@@ -109,13 +109,6 @@ def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
     raise ValueError(f"{w} is not a Lyndon word")
 
 
-def multidegree(word: tuple[int, ...], n: int) -> tuple[int, ...]:
-    md = [0] * n
-    for a in word:
-        md[a - 1] += 1
-    return tuple(md)
-
-
 # ---------------------------------------------------------------------------
 # tensor expansion and triangular extraction
 

@@ -194,6 +194,16 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 # series_endo_compose builds one per call unless the caller passes one it
 # keeps across a run of compositions with the same left table, and drops
 # when the run ends.  Nothing is stored on the SeriesEndo itself.
+#
+# Substitution X_j -> S_j - 1 has no constant term, so it commutes with
+# truncation: the composite of two tables truncated to a lower cutoff is the
+# composite truncated to it (series_endo_truncate).
+#
+# Substitution by a is a linear map A on series, and when a_inv is a's
+# inverse below the cutoff, A(a_inv(x_i)) = (a o a^-1)(x_i) = 1 + X_i.  So
+# the last step a o v of a commutator a b a^-1 b^-1, v = b a^-1 b^-1,
+# is 1 + X_i + A(v_i - a_inv_i): only the difference of v from a^-1, which
+# is sparse when b is IA, is substituted (series_endo_commutator).
 
 
 @dataclass
@@ -209,10 +219,18 @@ def endo_to_series(e: EndoTable, d: int) -> SeriesEndo:
     )
 
 
-def series_endo_identity(n: int, d: int) -> SeriesEndo:
-    return SeriesEndo(
-        n, d, tuple(magnus_expand(word_gen(n, i), d) for i in range(1, n + 1))
-    )
+def series_endo_truncate(se: SeriesEndo, d: int) -> SeriesEndo:
+    """se with every monomial beyond degree d dropped; se itself when d is
+    already its cutoff."""
+    if d == se.max_degree:
+        return se
+    if not 1 <= d < se.max_degree:
+        raise ValueError("can only truncate to a lower cutoff")
+    n = se.rank_n
+    return SeriesEndo(n, d, tuple(
+        TruncSeries(n, d, {m: c for m, c in s.coeffs.items() if len(m) <= d})
+        for s in se.images
+    ))
 
 
 class SeriesSubstitution:
@@ -247,6 +265,34 @@ class SeriesSubstitution:
         return got
 
 
+def _substitution_for(a: SeriesEndo, sub: SeriesSubstitution | None) -> SeriesSubstitution:
+    if sub is None:
+        return SeriesSubstitution(a)
+    if sub.table is not a:
+        raise ValueError("substitution was built for another table")
+    return sub
+
+
+def _substitute(sub: SeriesSubstitution, terms, out: dict) -> dict:
+    """Add the substitution of sum c X_m over terms (m, c) into out."""
+    keep, prefix = sub.keep, sub.prefix
+    for mono, c in terms:
+        if len(mono) > keep:
+            nv = out.get(mono, 0) + c
+            if nv:
+                out[mono] = nv
+            else:
+                del out[mono]
+            continue
+        for m2, c2 in prefix(mono).items():
+            nv = out.get(m2, 0) + c * c2
+            if nv:
+                out[m2] = nv
+            else:
+                del out[m2]
+    return out
+
+
 def series_endo_compose(
     a: SeriesEndo, b: SeriesEndo, sub: SeriesSubstitution | None = None
 ) -> SeriesEndo:
@@ -257,31 +303,10 @@ def series_endo_compose(
     """
     if (a.rank_n, a.max_degree) != (b.rank_n, b.max_degree):
         raise ValueError("series endo mismatch")
-    if sub is None:
-        sub = SeriesSubstitution(a)
-    elif sub.table is not a:
-        raise ValueError("substitution was built for another table")
+    sub = _substitution_for(a, sub)
     n, d = a.rank_n, a.max_degree
-    keep, prefix = sub.keep, sub.prefix
-    images = []
-    for s in b.images:
-        out: dict[tuple[int, ...], int] = {}
-        for mono, c in s.coeffs.items():
-            if len(mono) > keep:
-                nv = out.get(mono, 0) + c
-                if nv:
-                    out[mono] = nv
-                else:
-                    del out[mono]
-                continue
-            for m2, c2 in prefix(mono).items():
-                nv = out.get(m2, 0) + c * c2
-                if nv:
-                    out[m2] = nv
-                else:
-                    del out[m2]
-        images.append(TruncSeries(n, d, out))
-    return SeriesEndo(n, d, tuple(images))
+    images = tuple(TruncSeries(n, d, _substitute(sub, s.coeffs.items(), {})) for s in b.images)
+    return SeriesEndo(n, d, images)
 
 
 def series_endo_commutator(
@@ -296,13 +321,25 @@ def series_endo_commutator(
 ) -> SeriesEndo:
     """Series table of the group commutator a b a^-1 b^-1.
 
-    The optional substitutions of a, a_inv and b are passed on to the
-    compositions that substitute those tables.
+    a_inv must be a's inverse below the cutoff, and b_inv b's.  The last
+    step a o v, v = b a^-1 b^-1, substitutes only v - a^-1: its image of x_i
+    is 1 + X_i + A(v_i - a_inv_i), A the substitution by a, because
+    A(a_inv_i) = (a o a^-1)(x_i) = 1 + X_i.  The optional substitutions of
+    a, a_inv and b are passed on to the steps that substitute those tables.
     """
-    out = series_endo_compose(a_inv, b_inv, a_inv_sub)
-    out = series_endo_compose(b, out, b_sub)
-    out = series_endo_compose(a, out, a_sub)
-    return out
+    v = series_endo_compose(a_inv, b_inv, a_inv_sub)
+    v = series_endo_compose(b, v, b_sub)
+    if (a.rank_n, a.max_degree) != (v.rank_n, v.max_degree):
+        raise ValueError("series endo mismatch")
+    a_sub = _substitution_for(a, a_sub)
+    n, d = a.rank_n, a.max_degree
+    images = []
+    for i, (s, t) in enumerate(zip(v.images, a_inv.images), start=1):
+        vi, ti = s.coeffs, t.coeffs
+        diff = [(m, c - ti.get(m, 0)) for m, c in vi.items() if c != ti.get(m, 0)]
+        diff += [(m, -c) for m, c in ti.items() if m not in vi]
+        images.append(TruncSeries(n, d, _substitute(a_sub, diff, {(): 1, (i,): 1})))
+    return SeriesEndo(n, d, tuple(images))
 
 
 @lru_cache(maxsize=None)
@@ -344,8 +381,17 @@ def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
     mu_inv = _by_degree(series_inverse(mu).coeffs, d)
     images = []
     for i in range(1, n + 1):
-        s = series_mul(mu, magnus_expand(word_gen(n, i), d))
-        images.append(TruncSeries(n, d, _truncated_product(s.coeffs, mu_inv, d)))
+        # mu (1 + X_i): mu plus X_i appended to each monomial with room for it
+        s = dict(mu.coeffs)
+        for m, c in mu.coeffs.items():
+            if len(m) < d:
+                key = m + (i,)
+                nv = s.get(key, 0) + c
+                if nv:
+                    s[key] = nv
+                else:
+                    del s[key]
+        images.append(TruncSeries(n, d, _truncated_product(s, mu_inv, d)))
     return SeriesEndo(n, d, tuple(images))
 
 

@@ -48,6 +48,7 @@ from .magnus import (
     same_degree,
     series_a_degree,
     series_endo_commutator,
+    series_endo_truncate,
     series_read_off,
     word_read_off,
 )
@@ -267,35 +268,57 @@ def _johnson_layer(family: str, n: int, k: int, max_degree: int):
     bracketing the generators against them spans degree k; candidate counts
     stay at (number of generators) x (previous spanning size).
 
+    A candidate is screened at cutoff k+1: its degree test and Johnson image
+    read only degrees <= k+1, and composition commutes with truncation, so
+    it is composed from the generator tables and tails truncated to k+1
+    (each tail once per layer).  A kept candidate becomes a tail, so below
+    the top layer it is rebuilt at the full cutoff max_degree+1, checked to
+    truncate to its screened table, and its inverse is built there; at
+    k == max_degree the screen cutoff is the full cutoff.
+
     Returns (lattice, spanning tails as (series, inverse series), scanned).
     A tail's inverse is only read when the next layer brackets against it,
     so it is built for kept tails only, and top-layer tails (k == max_degree)
     carry None in its place.
     """
-    gen_series = _generator_series(family, n, max_degree + 1)
+    top, cut = max_degree + 1, k + 1
+    gen_series = _generator_series(family, n, top)
     builder = LatticeBuilder(image_dim(n, k))
     tails = []
     prev_tails = (None,) if k == 1 else _johnson_layer(family, n, k - 1, max_degree)[1]
-    for g in gen_series:
+    screen_tails = [
+        None if c is None else tuple(series_endo_truncate(t, cut) for t in c) for c in prev_tails
+    ]
+    for idx, g in enumerate(gen_series, start=1):
+        g_cut = tuple(series_endo_truncate(t, cut) for t in g)
         # substitutions of g and g^-1 serve g's whole run of candidates and
         # are dropped when the run ends
-        g_sub, g_inv_sub = SeriesSubstitution(g[0]), SeriesSubstitution(g[1])
-        for c in prev_tails:
+        subs = SeriesSubstitution(g_cut[0]), SeriesSubstitution(g_cut[1])
+        full_subs = subs if cut == top else (SeriesSubstitution(g[0]), SeriesSubstitution(g[1]))
+        for c, c_cut in zip(prev_tails, screen_tails):
             if c is None:
-                se = g[0]
+                se = g_cut[0]
             else:
-                se = series_endo_commutator(*g, *c, a_sub=g_sub, a_inv_sub=g_inv_sub)
+                se = series_endo_commutator(*g_cut, *c_cut, a_sub=subs[0], a_inv_sub=subs[1])
             ro = series_read_off(se)
             if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
                 continue
-            if builder.add(der_vector(ro.johnson_image())):
-                if k == max_degree:
-                    se_inv = None
-                elif c is None:
-                    se_inv = g[1]
-                else:
-                    se_inv = series_endo_commutator(*c, *g, b_sub=g_sub)
-                tails.append((se, se_inv))
+            if not builder.add(der_vector(ro.johnson_image())):
+                continue
+            if k == max_degree:
+                tails.append((se, None))
+                continue
+            if c is None:
+                full, full_inv = g
+            else:
+                full = series_endo_commutator(*g, *c, a_sub=full_subs[0], a_inv_sub=full_subs[1])
+                full_inv = series_endo_commutator(*c, *g, b_sub=full_subs[0])
+            if series_endo_truncate(full, cut) != se:
+                raise RuntimeError(
+                    f"{family} Johnson layer {k}: the kept commutator with generator "
+                    f"{idx} does not truncate to its screened table"
+                )
+            tails.append((full, full_inv))
     return builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
 
 

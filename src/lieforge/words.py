@@ -75,16 +75,6 @@ def word_inverse(a: ReducedWord) -> ReducedWord:
     return ReducedWord(a.rank_n, tuple((g, -e) for g, e in reversed(a.letters)))
 
 
-def word_pow(a: ReducedWord, e: int) -> ReducedWord:
-    if e == 0:
-        return word_identity(a.rank_n)
-    base = a if e > 0 else word_inverse(a)
-    out = base
-    for _ in range(abs(e) - 1):
-        out = word_mul(out, base)
-    return out
-
-
 def word_commutator(a: ReducedWord, b: ReducedWord) -> ReducedWord:
     """Reduced form of a b a^-1 b^-1."""
     return word_mul(word_mul(a, b), word_mul(word_inverse(a), word_inverse(b)))

@@ -229,11 +229,6 @@ def zero_lattice(ambient_dim: int) -> IntLattice:
     return IntLattice(ambient_dim, ())
 
 
-def hermite_form(m: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form; zero rows removed, row span unchanged."""
-    return IntMatrix.from_sparse(lattice_from_rows(m.entries, m.cols).rows, m.cols)
-
-
 def smith_rank(m: IntMatrix) -> int:
     """Rank of m over Q (the number of nonzero Smith invariants).
 

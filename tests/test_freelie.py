@@ -17,7 +17,6 @@ from lieforge.freelie import (
     lie_zero,
     lyndon_words,
     mobius,
-    multidegree,
     standard_factorization,
     tensor_expand_word,
     tensor_to_lyndon,
@@ -25,6 +24,14 @@ from lieforge.freelie import (
     witt_rank,
 )
 from lieforge.zlattice import LatticeBuilder
+
+
+def multidegree(word: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """How often each of the letters 1..n occurs in word."""
+    md = [0] * n
+    for a in word:
+        md[a - 1] += 1
+    return tuple(md)
 
 
 def test_mobius():

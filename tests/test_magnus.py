@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,6 @@ from lieforge.magnus import (
     TruncSeries,
     series_endo_commutator,
     series_endo_compose,
-    series_endo_identity,
     series_inverse,
     series_johnson_image,
     series_mul,
@@ -55,6 +55,11 @@ from lieforge.words import (
     word_mul,
 )
 from lieforge.zlattice import lattice_member, lattice_from_rows
+
+
+def series_endo_identity(n, d):
+    """Series table of the identity: x_i -> 1 + X_i."""
+    return SeriesEndo(n, d, tuple(TruncSeries(n, d, {(): 1, (i,): 1}) for i in range(1, n + 1)))
 
 
 def _random_word(rng, n, letters=5):
@@ -568,3 +573,50 @@ def test_series_substitution_belongs_to_its_table():
     a = series_endo_identity(2, 3)
     with pytest.raises(ValueError):
         series_endo_compose(series_endo_identity(2, 3), a, SeriesSubstitution(a))
+
+
+def _commutator_by_compositions(a, a_inv, b, b_inv):
+    """a b a^-1 b^-1 as three full substitutions, the oracle of the linear finish."""
+    return series_endo_compose(a, series_endo_compose(b, series_endo_compose(a_inv, b_inv)))
+
+
+@lru_cache(maxsize=None)
+def _generator_pairs(family, n, d):
+    from lieforge.braids import evaluate, family_generators
+
+    return [
+        (endo_to_series(evaluate(g), d), endo_to_series(evaluate(g.inverse()), d))
+        for g in family_generators(family, n)
+    ]
+
+
+@st.composite
+def commutator_operands(draw):
+    """Two (table, inverse) pairs: generators of Inn, Pn or FnPn, or their
+    commutator tails [g, h] with inverse [h, g]."""
+    family = draw(st.sampled_from(("Inn", "Pn", "FnPn")))
+    pairs = _generator_pairs(family, draw(st.integers(2, 4)), draw(st.integers(2, 5)))
+
+    def operand():
+        g = draw(st.sampled_from(pairs))
+        if not draw(st.booleans()):
+            return g
+        h = draw(st.sampled_from(pairs))
+        return _commutator_by_compositions(*g, *h), _commutator_by_compositions(*h, *g)
+
+    return operand(), operand()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(commutator_operands())
+def test_series_endo_commutator_matches_three_compositions(case):
+    (a, a_inv), (b, b_inv) = case
+    want = _commutator_by_compositions(a, a_inv, b, b_inv).images
+    assert series_endo_commutator(a, a_inv, b, b_inv).images == want
+    subs = {
+        "a_sub": SeriesSubstitution(a),
+        "a_inv_sub": SeriesSubstitution(a_inv),
+        "b_sub": SeriesSubstitution(b),
+    }
+    for _ in range(2):
+        assert series_endo_commutator(a, a_inv, b, b_inv, **subs).images == want

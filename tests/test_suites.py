@@ -12,6 +12,13 @@ from lieforge.suites import (
 )
 
 
+def series_endo_identity(n, d):
+    """Series table of the identity: x_i -> 1 + X_i."""
+    from lieforge.magnus import SeriesEndo, TruncSeries
+
+    return SeriesEndo(n, d, tuple(TruncSeries(n, d, {(): 1, (i,): 1}) for i in range(1, n + 1)))
+
+
 def test_report_shape():
     rep = verify_center_pn(2)
     d = rep.to_dict()
@@ -90,7 +97,7 @@ JOHNSON_LAYERS_N3_D4 = {
 
 @pytest.mark.parametrize("family", sorted(JOHNSON_LAYERS_N3_D4))
 def test_johnson_layer_tails_and_inverses(family):
-    from lieforge.magnus import series_endo_compose, series_endo_identity
+    from lieforge.magnus import series_endo_compose
     from lieforge.suites import _johnson_layer
 
     n, top = 3, 4
@@ -145,8 +152,88 @@ def test_johnson_layer_substitution_reuse_changes_nothing(family, monkeypatch):
     assert reused == fresh
 
 
+def _commutator_by_compositions(a, a_inv, b, b_inv):
+    from lieforge.magnus import series_endo_compose
+
+    return series_endo_compose(a, series_endo_compose(b, series_endo_compose(a_inv, b_inv)))
+
+
+def _full_cutoff_layers(family, n, top):
+    """The Johnson layers composed at the full cutoff top + 1 throughout, with
+    commutators as three compositions: the oracle of the screened layers."""
+    from lieforge.derivations import der_vector, image_dim
+    from lieforge.magnus import AboveCutoff, series_read_off
+    from lieforge.suites import _generator_series
+    from lieforge.zlattice import LatticeBuilder
+
+    gens = _generator_series(family, n, top + 1)
+    prev, layers = (None,), []
+    for k in range(1, top + 1):
+        builder, tails = LatticeBuilder(image_dim(n, k)), []
+        for g in gens:
+            for c in prev:
+                se = g[0] if c is None else _commutator_by_compositions(*g, *c)
+                ro = series_read_off(se)
+                if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
+                    continue
+                if builder.add(der_vector(ro.johnson_image())):
+                    if k == top:
+                        se_inv = None
+                    else:
+                        se_inv = g[1] if c is None else _commutator_by_compositions(*c, *g)
+                    tails.append((se, se_inv))
+        layers.append((builder.lattice(), tuple(tails), len(gens) * len(prev)))
+        prev = tails
+    return layers
+
+
+@pytest.mark.parametrize("n, top", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("family", ["Inn", "Pn", "FnPn"])
+def test_johnson_layer_screen_matches_full_cutoff(family, n, top):
+    from lieforge.suites import _johnson_layer
+
+    _johnson_layer.cache_clear()
+    try:
+        for k, (lattice, tails, scanned) in enumerate(_full_cutoff_layers(family, n, top), start=1):
+            got_lattice, got_tails, got_scanned = _johnson_layer(family, n, k, top)
+            assert (got_scanned, len(got_tails)) == (scanned, len(tails))
+            assert got_lattice.rows == lattice.rows
+            assert got_tails == tails
+    finally:
+        _johnson_layer.cache_clear()
+
+
+def test_johnson_layer_screen_mismatch_is_an_internal_error(monkeypatch):
+    from lieforge import suites
+    from lieforge.magnus import SeriesEndo, TruncSeries
+
+    family, n, top, k = "Pn", 3, 4, 2
+    suites._johnson_layer.cache_clear()
+    known = [t for g in suites._generator_series(family, n, top + 1) for t in g]
+    known += [t for tail in suites._johnson_layer(family, n, k - 1, top)[1] for t in tail]
+    truncate = suites.series_endo_truncate
+
+    def corrupted(se, d):
+        # generator tables and old tails truncate as before; a kept commutator
+        # rebuilt at the full cutoff gains a term in its truncation
+        out = truncate(se, d)
+        if any(se is t for t in known):
+            return out
+        coeffs = dict(out.images[0].coeffs)
+        coeffs[(1,) * d] = coeffs.get((1,) * d, 0) + 1
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        return SeriesEndo(n, d, (TruncSeries(n, d, coeffs), *out.images[1:]))
+
+    monkeypatch.setattr(suites, "series_endo_truncate", corrupted)
+    try:
+        with pytest.raises(RuntimeError, match=r"Pn Johnson layer 2: .* generator \d+ "):
+            suites._johnson_layer(family, n, k, top)
+    finally:
+        suites._johnson_layer.cache_clear()
+
+
 def test_random_commutator_inverse_is_built_on_request():
-    from lieforge.magnus import series_endo_compose, series_endo_identity
+    from lieforge.magnus import series_endo_compose
     from lieforge.suites import _generator_series, _random_commutator_series, _rng
 
     gens = _generator_series("Pn", 3, 4)

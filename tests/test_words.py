@@ -22,8 +22,18 @@ from lieforge.words import (
     word_inverse,
     word_is_conjugate,
     word_mul,
-    word_pow,
 )
+
+
+def word_pow(a: ReducedWord, e: int) -> ReducedWord:
+    """a^e by repeated multiplication: the oracle for exponents in words."""
+    if e == 0:
+        return word_identity(a.rank_n)
+    base = a if e > 0 else word_inverse(a)
+    out = base
+    for _ in range(abs(e) - 1):
+        out = word_mul(out, base)
+    return out
 
 
 def test_reduction_invariants():

@@ -10,7 +10,6 @@ from lieforge.zlattice import (
     IntLattice,
     LatticeBuilder,
     combine,
-    hermite_form,
     kernel_basis,
     lattice_from_rows,
     lattice_intersect,
@@ -21,6 +20,11 @@ from lieforge.zlattice import (
     xgcd,
     zero_lattice,
 )
+
+
+def hermite_form(m: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form; zero rows removed, row span unchanged."""
+    return IntMatrix.from_sparse(lattice_from_rows(m.entries, m.cols).rows, m.cols)
 
 
 def test_xgcd():
