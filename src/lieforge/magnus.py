@@ -9,6 +9,12 @@ off one expansion (WordReadOff).  The degree and Johnson image of an
 automorphism are read off its series table (SeriesEndo) once, from the
 displacements phi(x_i) x_i^-1 (SeriesReadOff); word tables are expanded
 first.
+
+Multiplying by one letter power (1 + X_g)^e is done by a single kernel,
+_times_letter_power, in place over the degree buckets of a series: a word
+is expanded letter by letter into one set of buckets, and a displacement is
+S_i (1 + X_i)^-1.  A letter power adds only terms longer than the monomial
+it multiplies, so the top degree is never visited.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import NamedTuple
 
 from .derivations import HomDerivation
 from .freelie import LieElement, tensor_to_lyndon
-from .words import EndoTable, ReducedWord, endo_identity, word_gen
+from .words import EndoTable, ReducedWord, endo_identity
 
 
 @dataclass(frozen=True)
@@ -109,29 +115,67 @@ def series_sub_one(a: TruncSeries) -> dict:
 
 @lru_cache(maxsize=None)
 def _letter_series_coeffs(e: int, d: int) -> tuple[int, ...]:
-    # binomial coefficients C(e, t) for t = 0..d, valid for negative e too
+    """Binomial coefficients C(e, t) of (1 + X)^e for t = 0..d, valid for
+    negative e too, cut after the last nonzero one (t = e when 0 < e < d)."""
+    top = min(e, d) if e > 0 else d
     out = [1]
     num = 1
     den = 1
-    for t in range(1, d + 1):
+    for t in range(1, top + 1):
         num *= e - (t - 1)
         den *= t
         out.append(num // den)
     return tuple(out)
 
 
+def _buckets(coeffs: dict, d: int) -> list[dict]:
+    """coeffs split by monomial degree 0..d into dicts, the form
+    _times_letter_power updates in place (a product's right operand is only
+    read, and is bucketed into lists by _by_degree)."""
+    buckets: list[dict] = [{} for _ in range(d + 1)]
+    for m, c in coeffs.items():
+        buckets[len(m)][m] = c
+    return buckets
+
+
+def _flatten(buckets: list[dict]) -> dict:
+    return {m: c for bucket in buckets for m, c in bucket.items()}
+
+
+def _times_letter_power(buckets: list[dict], g: int, e: int, d: int) -> None:
+    """Multiply the series in buckets (_buckets) on the right by (1 + X_g)^e,
+    truncated beyond degree d, in place.
+
+    A monomial m of degree k keeps its coefficient c (t = 0) and adds
+    c * C(e, t) at m + (g,)*t, degree k + t, for t = 1..d-k; for e > 0 every
+    C(e, t) with t > e is zero, and the binomial row ends at t = e.  The
+    buckets are walked from degree d-1 down to 0, so each is read before any
+    lower one writes into it, and the top degree is never visited.
+    """
+    cs = _letter_series_coeffs(e, d)
+    for k in range(d - 1, -1, -1):
+        if not buckets[k]:
+            continue
+        steps = list(zip(cs[1 : d - k + 1], buckets[k + 1 :]))
+        for m, c in buckets[k].items():
+            key = m
+            for b, out in steps:
+                key += (g,)
+                nv = out.get(key, 0) + c * b
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+
+
 def magnus_expand(w: ReducedWord, d: int) -> TruncSeries:
     """Multiplicative expansion of w, truncated beyond total degree d."""
     if d < 1:
         raise ValueError("cutoff degree must be at least 1")
-    series = series_one(w.rank_n, d)
+    buckets = _buckets({(): 1}, d)
     for g, e in w.letters:
-        cs = _letter_series_coeffs(e, d)
-        letter = TruncSeries(
-            w.rank_n, d, {(g,) * t: cs[t] for t in range(d + 1) if cs[t]}
-        )
-        series = series_mul(series, letter)
-    return series
+        _times_letter_power(buckets, g, e, d)
+    return TruncSeries(w.rank_n, d, _flatten(buckets))
 
 
 class WordReadOff(NamedTuple):
@@ -342,12 +386,6 @@ def series_endo_commutator(
     return SeriesEndo(n, d, tuple(images))
 
 
-@lru_cache(maxsize=None)
-def _inverse_letter_by_degree(n: int, i: int, d: int) -> list:
-    """The series of x_i^-1, bucketed by degree (_by_degree); shared, read only."""
-    return _by_degree(magnus_expand(word_gen(n, i, -1), d).coeffs, d)
-
-
 def series_inverse(s: TruncSeries) -> TruncSeries:
     """Inverse of a series with constant term 1, by the truncated Neumann sum."""
     if s.constant_term() != 1:
@@ -376,22 +414,18 @@ def _merge(a: dict, b: dict) -> dict:
 
 
 def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
-    """Series table of conjugation by a word w, from its expansion mu = mu(w)."""
+    """Series table of conjugation by a word w, from its expansion mu = mu(w).
+
+    mu (1 + X_i) mu^-1 = 1 + (mu X_i) mu^-1, so only the product of mu X_i
+    (each monomial of mu with room for it, followed by X_i) with mu^-1 is
+    formed.
+    """
     n, d = mu.rank_n, mu.max_degree
     mu_inv = _by_degree(series_inverse(mu).coeffs, d)
     images = []
     for i in range(1, n + 1):
-        # mu (1 + X_i): mu plus X_i appended to each monomial with room for it
-        s = dict(mu.coeffs)
-        for m, c in mu.coeffs.items():
-            if len(m) < d:
-                key = m + (i,)
-                nv = s.get(key, 0) + c
-                if nv:
-                    s[key] = nv
-                else:
-                    del s[key]
-        images.append(TruncSeries(n, d, _truncated_product(s, mu_inv, d)))
+        mu_xi = {m + (i,): c for m, c in mu.coeffs.items() if len(m) < d}
+        images.append(TruncSeries(n, d, {(): 1, **_truncated_product(mu_xi, mu_inv, d)}))
     return SeriesEndo(n, d, tuple(images))
 
 
@@ -423,13 +457,13 @@ def series_read_off(se: SeriesEndo) -> SeriesReadOff:
         raise ValueError("cutoff degree must be at least 2")
     displacements = []
     for i, s in enumerate(se.images, start=1):
-        inv = _inverse_letter_by_degree(n, i, d)
-        disp = TruncSeries(n, d, _truncated_product(s.coeffs, inv, d))
-        if any(len(m) == 1 for m in disp.coeffs):
+        buckets = _buckets(s.coeffs, d)
+        _times_letter_power(buckets, i, -1, d)
+        if buckets[1]:
             raise NonIAError(
                 f"endomorphism is not IA: image of x{i} shifts the abelianization"
             )
-        displacements.append(disp)
+        displacements.append(TruncSeries(n, d, _flatten(buckets)))
     lows = [low for disp in displacements if (low := disp.lowest_degree()) is not None]
     degree = min(lows) - 1 if lows else AboveCutoff()
     return SeriesReadOff(n, degree, tuple(displacements))

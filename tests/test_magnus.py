@@ -38,7 +38,10 @@ from lieforge.magnus import (
     series_read_off,
     series_sub_one,
     word_read_off,
+    _buckets,
     _by_degree,
+    _flatten,
+    _times_letter_power,
     _truncated_product,
 )
 from lieforge.words import (
@@ -620,3 +623,108 @@ def test_series_endo_commutator_matches_three_compositions(case):
     }
     for _ in range(2):
         assert series_endo_commutator(a, a_inv, b, b_inv, **subs).images == want
+
+
+# ---------------------------------------------------------------------------
+# the letter-power kernel
+
+
+def _letter_oracle(n, g, e, d):
+    """(1 + X_g)^e truncated beyond degree d: |e| factors 1 + X_g, or of its
+    inverse 1 - X_g + X_g^2 - ..., multiplied by series_mul."""
+    if e > 0:
+        factor = {(): 1, (g,): 1}
+    else:
+        factor = {(g,) * t: (-1) ** t for t in range(d + 1)}
+    out = TruncSeries(n, d, {(): 1})
+    for _ in range(abs(e)):
+        out = series_mul(out, TruncSeries(n, d, factor))
+    return out
+
+
+def _expand_oracle(w, d):
+    """mu(w) letter by letter through series_mul."""
+    out = TruncSeries(w.rank_n, d, {(): 1})
+    for g, e in w.letters:
+        out = series_mul(out, _letter_oracle(w.rank_n, g, e, d))
+    return out
+
+
+EXPONENTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def letter_power_cases(draw):
+    """(d, g, e, a): a sparse series a over 1..3 and a letter power; half the
+    time a = b (1 + X_g)^-e, so that multiplying by (1 + X_g)^e cancels."""
+    d = draw(st.integers(1, 6))
+    g = draw(st.integers(1, 3))
+    e = draw(EXPONENTS)
+    a = draw(series_dicts(d=d))
+    if draw(st.booleans()):
+        a = series_mul(TruncSeries(3, d, a), _letter_oracle(3, g, -e, d)).coeffs
+    return d, g, e, a
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(letter_power_cases())
+def test_letter_power_kernel_matches_series_mul(case):
+    d, g, e, a = case
+    buckets = _buckets(a, d)
+    _times_letter_power(buckets, g, e, d)
+    got = _flatten(buckets)
+    letter = magnus_expand(word_gen(3, g, e), d)
+    assert letter.coeffs == _letter_oracle(3, g, e, d).coeffs
+    assert got == series_mul(TruncSeries(3, d, a), letter).coeffs
+    assert 0 not in got.values()
+    assert all(len(m) == k for k, bucket in enumerate(buckets) for m in bucket)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.integers(1, 3), EXPONENTS), max_size=8), st.integers(1, 6))
+def test_magnus_expand_matches_letter_by_letter_oracle(pairs, d):
+    w = word_from_pairs(3, pairs)
+    assert magnus_expand(w, d).coeffs == _expand_oracle(w, d).coeffs
+    for g, e in w.letters:
+        assert magnus_expand(word_gen(3, g, e), d).coeffs == _letter_oracle(3, g, e, d).coeffs
+
+
+def _first_non_ia(oracle):
+    return next((i for i, disp in enumerate(oracle, start=1)
+                 if any(len(m) == 1 for m in disp.coeffs)), None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(aut_exprs(), st.integers(2, 6))
+def test_read_off_displacements_match_series_mul(case, d):
+    from lieforge.braids import evaluate
+    from lieforge.cli import parse_aut_expr
+
+    n, text = case
+    se = endo_to_series(evaluate(parse_aut_expr(n, text)), d)
+    # _letter_oracle(n, i, -1, d) is magnus_expand(x_i^-1, d), formed without the kernel
+    oracle = [series_mul(s, _letter_oracle(n, i, -1, d))
+              for i, s in enumerate(se.images, start=1)]
+    bad = _first_non_ia(oracle)
+    if bad is not None:
+        with pytest.raises(NonIAError, match=f"image of x{bad} shifts the abelianization"):
+            series_read_off(se)
+        return
+    ro = series_read_off(se)
+    assert [disp.coeffs for disp in ro.displacements] == [disp.coeffs for disp in oracle], text
+
+
+def test_read_off_of_sigma_tables_names_the_generator():
+    from lieforge.braids import sigma_table
+
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for sign in (1, -1):
+                se = endo_to_series(sigma_table(i, n, sign), 4)
+                oracle = [series_mul(s, _letter_oracle(n, k, -1, 4))
+                          for k, s in enumerate(se.images, start=1)]
+                bad = _first_non_ia(oracle)
+                assert bad == i
+                with pytest.raises(NonIAError, match=f"image of x{bad} shifts the abelianization"):
+                    series_read_off(se)
+

@@ -1,9 +1,10 @@
 """Replay ops of the benchmark's reference table through the CLI.
 
 perfbench/reference.json records the stdout sha256 of every op the
-benchmark can run.  Its toy ops, and the heavy query-mix ops at full size,
-are small enough for the unit suite, so each one must still print
-byte-identical output.  The file is only read.
+benchmark can run.  Its toy ops, and at full size the heavy and light
+query-mix ops and the johnson-series ops, are small enough for the unit
+suite, so each one must still print byte-identical output.  The file is
+only read.
 """
 
 import contextlib
@@ -21,24 +22,31 @@ import lieforge
 from lieforge.cli import main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-TOY = json.loads(REFERENCE.read_text())["toy"]
+TABLES = json.loads(REFERENCE.read_text())
+TOY, FULL = TABLES["toy"], TABLES["full"]
+
+
+def _digest(op):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(shlex.split(op))
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("op", sorted(TOY))
 def test_toy_reference_digest(op):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(shlex.split(op))
-    assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == TOY[op]
+    assert _digest(op) == (0, TOY[op])
 
 
 # the heavy query-mix ops of the full table: centers, key theorem, the inner
 # degree samples, the central braid and the quotient action at n = 4 and 5
 HEAVY_PREFIXES = ("center ", "verify inner ", "verify key-theorem ",
                   "verify center-pn ", "verify quotient ")
-HEAVY = {op: d for op, d in json.loads(REFERENCE.read_text())["full"].items()
-         if op.startswith(HEAVY_PREFIXES)}
+HEAVY = {op: d for op, d in FULL.items() if op.startswith(HEAVY_PREFIXES)}
+# the light query-mix ops (degree and expand, of a word or an automorphism)
+# and the johnson-series ops: the Magnus expansion and read-off paths
+LIGHT_AND_JOHNSON = {op: d for op, d in FULL.items()
+                     if op.startswith(("degree ", "expand ", "verify johnson "))}
 
 
 def _clear_lieforge_caches():
@@ -59,8 +67,15 @@ def test_full_heavy_reference_digest_cold_then_warm(op):
     # was mutated by the first run shows as a digest mismatch in the second
     _clear_lieforge_caches()
     for _ in ("cold", "warm"):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(shlex.split(op))
-        assert code == 0
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == HEAVY[op]
+        assert _digest(op) == (0, HEAVY[op])
+
+
+def test_light_and_johnson_ops_are_selected():
+    assert len(LIGHT_AND_JOHNSON) == 1202
+
+
+def test_full_light_and_johnson_reference_digests():
+    # one loop, not one test per op: 1,202 ops in about 2 s, and a
+    # mismatch names the first op that printed something else
+    for op in sorted(LIGHT_AND_JOHNSON):
+        assert _digest(op) == (0, LIGHT_AND_JOHNSON[op]), op
