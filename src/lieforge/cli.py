@@ -232,7 +232,8 @@ def cmd_expand(args) -> int:
         series = magnus_expand(w, args.max_degree)
         coeffs = {
             "".join(str(a) for a in m): c
-            for m, c in sorted(series.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            for part in series.parts
+            for m, c in sorted(part.items())
         }
         row = {"series": json.dumps(coeffs, sort_keys=False)}
         _emit(args, {"command": "expand", "n": args.n, "word": format_word(w)},

@@ -142,20 +142,10 @@ def ad_derivation(x: LieElement) -> HomDerivation:
     )
 
 
-@dataclass(frozen=True)
-class TangentialData:
-    """Tangent words (t_1..t_n) realizing the derivation X_i -> [X_i, t_i]."""
-
-    rank_n: int
-    degree: int
-    tangents: tuple
-
-    def derivation(self) -> HomDerivation:
-        n = self.rank_n
-        images = tuple(
-            lie_bracket(lie_generator(n, i + 1), t) for i, t in enumerate(self.tangents)
-        )
-        return HomDerivation(n, self.degree, images)
+def tangential_derivation(n: int, k: int, tangents: tuple) -> HomDerivation:
+    """The degree-k derivation X_i -> [X_i, t_i] of tangent elements (t_1..t_n)."""
+    images = tuple(lie_bracket(lie_generator(n, i + 1), t) for i, t in enumerate(tangents))
+    return HomDerivation(n, k, images)
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +181,7 @@ def tangential_basis(n: int, k: int) -> list[HomDerivation]:
         tangents = tuple(
             lie_from_word(n, u) if t == i else lie_zero(n, k) for t in range(1, n + 1)
         )
-        out.append(TangentialData(n, k, tangents).derivation())
+        out.append(tangential_derivation(n, k, tangents))
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .derivations import (
     HomDerivation,
@@ -263,20 +263,13 @@ def cokernel_census(n: int, k: int) -> dict:
 @lru_cache(maxsize=None)
 def _bernoulli_upto(j: int) -> tuple[Fraction, ...]:
     # series division of z e^z by e^z - 1, both divided through by z
-    num = [Fraction(1, _factorial(m)) for m in range(j + 1)]
-    den = [Fraction(1, _factorial(m + 1)) for m in range(j + 1)]
+    num = [Fraction(1, factorial(m)) for m in range(j + 1)]
+    den = [Fraction(1, factorial(m + 1)) for m in range(j + 1)]
     f: list[Fraction] = []
     for m in range(j + 1):
         s = num[m] - sum(f[i] * den[m - i] for i in range(m))
         f.append(s / den[0])
-    return tuple(f[m] * _factorial(m) for m in range(j + 1))
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for t in range(2, m + 1):
-        out *= t
-    return out
+    return tuple(f[m] * factorial(m) for m in range(j + 1))
 
 
 def bernoulli(j: int) -> Fraction:

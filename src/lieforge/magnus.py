@@ -10,11 +10,14 @@ automorphism are read off its series table (SeriesEndo) once, from the
 displacements phi(x_i) x_i^-1 (SeriesReadOff); word tables are expanded
 first.
 
-Multiplying by one letter power (1 + X_g)^e is done by a single kernel,
-_times_letter_power, in place over the degree buckets of a series: a word
-is expanded letter by letter into one set of buckets, and a displacement is
-S_i (1 + X_i)^-1.  A letter power adds only terms longer than the monomial
-it multiplies, so the top degree is never visited.
+A truncated series (TruncSeries) is stored by degree: part k holds the
+monomials of length k, so each operation indexes the degrees it needs and
+none splits a series or joins one back.  Multiplying by one letter power
+(1 + X_g)^e is done by a single kernel, _times_letter_power, in place over
+the parts: a word is expanded letter by letter into one list of parts, and
+a displacement S_i (1 + X_i)^-1 is formed on a copy of S_i's parts.  A
+letter power adds only terms longer than the monomial it multiplies, so the
+top part is never visited.
 """
 
 from __future__ import annotations
@@ -50,67 +53,73 @@ def same_degree(a: Degree, b: Degree) -> bool:
 
 @dataclass
 class TruncSeries:
+    """A noncommutative power series truncated beyond degree max_degree.
+
+    parts[k], k = 0..max_degree, maps each monomial of length k (a tuple over
+    1..rank_n) to its nonzero coefficient.
+    """
+
     rank_n: int
     max_degree: int
-    coeffs: dict  # monomial tuple over 1..n -> nonzero int
+    parts: list[dict]
 
-    def constant_term(self) -> int:
-        return self.coeffs.get((), 0)
-
-    def degree_slice(self, d: int) -> dict:
-        return {m: c for m, c in self.coeffs.items() if len(m) == d}
+    @property
+    def coeffs(self) -> dict:
+        """Every term in one dict {monomial: coeff}, built on each read."""
+        return {m: c for part in self.parts for m, c in part.items()}
 
     def lowest_degree(self) -> int | None:
         """Smallest d >= 1 carrying a nonzero coefficient, None if there is none."""
-        best = None
-        for m in self.coeffs:
-            if m and (best is None or len(m) < best):
-                best = len(m)
-                if best == 1:
-                    break
-        return best
+        return next((k for k in range(1, self.max_degree + 1) if self.parts[k]), None)
 
 
-def series_one(n: int, d: int) -> TruncSeries:
-    return TruncSeries(n, d, {(): 1})
+def _unit_parts(d: int) -> list[dict]:
+    """Parts of the series 1 truncated beyond degree d."""
+    return [{(): 1}] + [{} for _ in range(d)]
 
 
 def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     if a.rank_n != b.rank_n or a.max_degree != b.max_degree:
         raise ValueError("series mismatch")
     d = a.max_degree
-    coeffs = _truncated_product(a.coeffs, _by_degree(b.coeffs, d), d)
-    return TruncSeries(a.rank_n, d, coeffs)
+    return TruncSeries(a.rank_n, d, _truncated_product(a.parts, _by_degree(b.parts), d))
 
 
-def _by_degree(b: dict, d: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Terms of b bucketed by monomial degree 0..d, the right operand form of
-    _truncated_product.  An operand used in many products is bucketed once."""
-    by_deg: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(d + 1)]
-    for m, c in b.items():
-        by_deg[len(m)].append((m, c))
-    return by_deg
+def _by_degree(parts: list[dict]) -> list[list[tuple[tuple[int, ...], int]]]:
+    """parts as lists of (monomial, coeff) pairs, the right operand form of
+    _truncated_product.  An operand used in many products is converted once."""
+    return [list(part.items()) for part in parts]
 
 
-def _truncated_product(a: dict, by_deg: list, d: int) -> dict:
-    """Coefficients of the product a*b, dropping monomials beyond degree d;
-    b is given bucketed by degree (_by_degree)."""
-    out: dict[tuple[int, ...], int] = {}
-    for ma, ca in a.items():
-        room = d - len(ma)
-        for db in range(room + 1):
-            for mb, cb in by_deg[db]:
-                key = ma + mb
-                nv = out.get(key, 0) + ca * cb
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
+def _truncated_product(a: list[dict], by_deg: list, d: int) -> list[dict]:
+    """Parts of the product a*b, dropping monomials beyond degree d; a is
+    given by its parts, b as _by_degree(b's parts)."""
+    out: list[dict] = [{} for _ in range(d + 1)]
+    for ka, part in enumerate(a):
+        if not part:
+            continue
+        for kb in range(d - ka + 1):
+            terms = by_deg[kb]
+            dest = out[ka + kb]
+            for ma, ca in part.items():
+                for mb, cb in terms:
+                    key = ma + mb
+                    nv = dest.get(key, 0) + ca * cb
+                    if nv:
+                        dest[key] = nv
+                    else:
+                        del dest[key]
     return out
 
 
-def series_sub_one(a: TruncSeries) -> dict:
-    return {m: c for m, c in a.coeffs.items() if m}
+def _add_scaled(out: dict, terms: dict, c: int) -> None:
+    """out += c * terms, in place, dropping coefficients that cancel."""
+    for m, v in terms.items():
+        nv = out.get(m, 0) + c * v
+        if nv:
+            out[m] = nv
+        else:
+            del out[m]
 
 
 @lru_cache(maxsize=None)
@@ -128,36 +137,22 @@ def _letter_series_coeffs(e: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _buckets(coeffs: dict, d: int) -> list[dict]:
-    """coeffs split by monomial degree 0..d into dicts, the form
-    _times_letter_power updates in place (a product's right operand is only
-    read, and is bucketed into lists by _by_degree)."""
-    buckets: list[dict] = [{} for _ in range(d + 1)]
-    for m, c in coeffs.items():
-        buckets[len(m)][m] = c
-    return buckets
-
-
-def _flatten(buckets: list[dict]) -> dict:
-    return {m: c for bucket in buckets for m, c in bucket.items()}
-
-
-def _times_letter_power(buckets: list[dict], g: int, e: int, d: int) -> None:
-    """Multiply the series in buckets (_buckets) on the right by (1 + X_g)^e,
+def _times_letter_power(parts: list[dict], g: int, e: int, d: int) -> None:
+    """Multiply the series with these parts on the right by (1 + X_g)^e,
     truncated beyond degree d, in place.
 
     A monomial m of degree k keeps its coefficient c (t = 0) and adds
-    c * C(e, t) at m + (g,)*t, degree k + t, for t = 1..d-k; for e > 0 every
+    c * C(e, t) at m + (g,)*t, in part k + t, for t = 1..d-k; for e > 0 every
     C(e, t) with t > e is zero, and the binomial row ends at t = e.  The
-    buckets are walked from degree d-1 down to 0, so each is read before any
-    lower one writes into it, and the top degree is never visited.
+    parts are walked from degree d-1 down to 0, so each is read before any
+    lower one writes into it, and the top part is never visited.
     """
     cs = _letter_series_coeffs(e, d)
     for k in range(d - 1, -1, -1):
-        if not buckets[k]:
+        if not parts[k]:
             continue
-        steps = list(zip(cs[1 : d - k + 1], buckets[k + 1 :]))
-        for m, c in buckets[k].items():
+        steps = list(zip(cs[1 : d - k + 1], parts[k + 1 :]))
+        for m, c in parts[k].items():
             key = m
             for b, out in steps:
                 key += (g,)
@@ -172,10 +167,10 @@ def magnus_expand(w: ReducedWord, d: int) -> TruncSeries:
     """Multiplicative expansion of w, truncated beyond total degree d."""
     if d < 1:
         raise ValueError("cutoff degree must be at least 1")
-    buckets = _buckets({(): 1}, d)
+    parts = _unit_parts(d)
     for g, e in w.letters:
-        _times_letter_power(buckets, g, e, d)
-    return TruncSeries(w.rank_n, d, _flatten(buckets))
+        _times_letter_power(parts, g, e, d)
+    return TruncSeries(w.rank_n, d, parts)
 
 
 class WordReadOff(NamedTuple):
@@ -197,11 +192,9 @@ class WordReadOff(NamedTuple):
 
 def word_read_off(w: ReducedWord, d: int) -> WordReadOff:
     """Expand w once, truncated beyond degree d, and read its degree off."""
-    if w.is_identity():
-        return WordReadOff(series_one(w.rank_n, d), AboveCutoff(is_identity=True))
     mu = magnus_expand(w, d)
     low = mu.lowest_degree()
-    return WordReadOff(mu, AboveCutoff() if low is None else low)
+    return WordReadOff(mu, AboveCutoff(is_identity=w.is_identity()) if low is None else low)
 
 
 def gamma_degree(w: ReducedWord, d: int) -> Degree:
@@ -216,7 +209,7 @@ def lie_class(w: ReducedWord, d: int) -> LieElement:
 
 def _slice_class(s: TruncSeries, k: int) -> LieElement:
     """The degree-k slice of s as a Lie element, in Lyndon coordinates."""
-    return LieElement(s.rank_n, k, tensor_to_lyndon(s.rank_n, s.degree_slice(k)))
+    return LieElement(s.rank_n, k, tensor_to_lyndon(s.rank_n, s.parts[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +227,10 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 # longer than d - shift maps to itself below the cutoff d and is copied
 # over without expanding it.  A table whose degree-1 part is not exactly
 # X_j in some image (a non-IA table) gets no shortcut.  A SeriesSubstitution
-# holds the bucketed S_j - 1, that bound and the memo of prefix products;
-# series_endo_compose builds one per call unless the caller passes one it
-# keeps across a run of compositions with the same left table, and drops
-# when the run ends.  Nothing is stored on the SeriesEndo itself.
+# holds the S_j - 1 as product operands, that bound and the memo of prefix
+# products; series_endo_compose builds one per call unless the caller passes
+# one it keeps across a run of compositions with the same left table, and
+# drops when the run ends.  Nothing is stored on the SeriesEndo itself.
 #
 # Substitution X_j -> S_j - 1 has no constant term, so it commutes with
 # truncation: the composite of two tables truncated to a lower cutoff is the
@@ -265,16 +258,13 @@ def endo_to_series(e: EndoTable, d: int) -> SeriesEndo:
 
 def series_endo_truncate(se: SeriesEndo, d: int) -> SeriesEndo:
     """se with every monomial beyond degree d dropped; se itself when d is
-    already its cutoff."""
+    already its cutoff.  The kept parts are shared with se, not copied."""
     if d == se.max_degree:
         return se
     if not 1 <= d < se.max_degree:
         raise ValueError("can only truncate to a lower cutoff")
     n = se.rank_n
-    return SeriesEndo(n, d, tuple(
-        TruncSeries(n, d, {m: c for m, c in s.coeffs.items() if len(m) <= d})
-        for s in se.images
-    ))
+    return SeriesEndo(n, d, tuple(TruncSeries(n, d, s.parts[: d + 1]) for s in se.images))
 
 
 class SeriesSubstitution:
@@ -288,7 +278,7 @@ class SeriesSubstitution:
     def __init__(self, a: SeriesEndo):
         d = a.max_degree
         self.table = a
-        self.shifted = [_by_degree(series_sub_one(s), d) for s in a.images]
+        self.shifted = [_by_degree([{}, *s.parts[1:]]) for s in a.images]
         shift = None  # lowest degree of (S_j - 1 - X_j) over j, minus one
         for j, by_deg in enumerate(self.shifted, start=1):
             if by_deg[1] != [((j,), 1)]:
@@ -298,9 +288,9 @@ class SeriesSubstitution:
             if low is not None and (shift is None or low - 1 < shift):
                 shift = low - 1
         self.keep = 0 if shift is None else d - shift
-        self.prefixes: dict[tuple[int, ...], dict] = {(): {(): 1}}
+        self.prefixes: dict[tuple[int, ...], list[dict]] = {(): _unit_parts(d)}
 
-    def prefix(self, mono: tuple[int, ...]) -> dict:
+    def prefix(self, mono: tuple[int, ...]) -> list[dict]:
         got = self.prefixes.get(mono)
         if got is None:
             base = self.prefix(mono[:-1])
@@ -317,23 +307,16 @@ def _substitution_for(a: SeriesEndo, sub: SeriesSubstitution | None) -> SeriesSu
     return sub
 
 
-def _substitute(sub: SeriesSubstitution, terms, out: dict) -> dict:
-    """Add the substitution of sum c X_m over terms (m, c) into out."""
+def _substitute(sub: SeriesSubstitution, parts: list[dict]) -> list[dict]:
+    """Parts of the substitution of the series with these parts: parts above
+    sub.keep are copied, each monomial below adds its prefix product."""
     keep, prefix = sub.keep, sub.prefix
-    for mono, c in terms:
-        if len(mono) > keep:
-            nv = out.get(mono, 0) + c
-            if nv:
-                out[mono] = nv
-            else:
-                del out[mono]
-            continue
-        for m2, c2 in prefix(mono).items():
-            nv = out.get(m2, 0) + c * c2
-            if nv:
-                out[m2] = nv
-            else:
-                del out[m2]
+    out = [dict(part) if k > keep else {} for k, part in enumerate(parts)]
+    for part in parts[: keep + 1]:
+        for mono, c in part.items():
+            for dest, terms in zip(out, prefix(mono)):
+                if terms:
+                    _add_scaled(dest, terms, c)
     return out
 
 
@@ -349,7 +332,7 @@ def series_endo_compose(
         raise ValueError("series endo mismatch")
     sub = _substitution_for(a, sub)
     n, d = a.rank_n, a.max_degree
-    images = tuple(TruncSeries(n, d, _substitute(sub, s.coeffs.items(), {})) for s in b.images)
+    images = tuple(TruncSeries(n, d, _substitute(sub, s.parts)) for s in b.images)
     return SeriesEndo(n, d, images)
 
 
@@ -379,38 +362,32 @@ def series_endo_commutator(
     n, d = a.rank_n, a.max_degree
     images = []
     for i, (s, t) in enumerate(zip(v.images, a_inv.images), start=1):
-        vi, ti = s.coeffs, t.coeffs
-        diff = [(m, c - ti.get(m, 0)) for m, c in vi.items() if c != ti.get(m, 0)]
-        diff += [(m, -c) for m, c in ti.items() if m not in vi]
-        images.append(TruncSeries(n, d, _substitute(a_sub, diff, {(): 1, (i,): 1})))
+        diff = [dict(p) for p in s.parts]
+        for dest, terms in zip(diff, t.parts):
+            _add_scaled(dest, terms, -1)
+        # both constant terms are 1, so A(v_i - a_inv_i) has none
+        parts = _substitute(a_sub, diff)
+        parts[0] = {(): 1}
+        _add_scaled(parts[1], {(i,): 1}, 1)
+        images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
 
 
 def series_inverse(s: TruncSeries) -> TruncSeries:
     """Inverse of a series with constant term 1, by the truncated Neumann sum."""
-    if s.constant_term() != 1:
+    if s.parts[0] != {(): 1}:
         raise ValueError("series must have constant term 1")
     n, d = s.rank_n, s.max_degree
-    neg = _by_degree({m: -c for m, c in s.coeffs.items() if m}, d)
-    out: dict[tuple[int, ...], int] = {(): 1}
-    power: dict[tuple[int, ...], int] = {(): 1}
+    neg = [[]] + [[(m, -c) for m, c in part.items()] for part in s.parts[1:]]
+    out = _unit_parts(d)
+    power = _unit_parts(d)
     for _ in range(d):
         power = _truncated_product(power, neg, d)
-        if not power:
+        if not any(power):
             break
-        out = _merge(out, power)
+        for dest, terms in zip(out, power):
+            _add_scaled(dest, terms, 1)
     return TruncSeries(n, d, out)
-
-
-def _merge(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        nv = out.get(m, 0) + c
-        if nv:
-            out[m] = nv
-        else:
-            del out[m]
-    return out
 
 
 def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
@@ -421,11 +398,13 @@ def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
     formed.
     """
     n, d = mu.rank_n, mu.max_degree
-    mu_inv = _by_degree(series_inverse(mu).coeffs, d)
+    mu_inv = _by_degree(series_inverse(mu).parts)
     images = []
     for i in range(1, n + 1):
-        mu_xi = {m + (i,): c for m, c in mu.coeffs.items() if len(m) < d}
-        images.append(TruncSeries(n, d, {(): 1, **_truncated_product(mu_xi, mu_inv, d)}))
+        mu_xi = [{}] + [{m + (i,): c for m, c in part.items()} for part in mu.parts[:d]]
+        parts = _truncated_product(mu_xi, mu_inv, d)
+        parts[0] = {(): 1}
+        images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
 
 
@@ -457,13 +436,13 @@ def series_read_off(se: SeriesEndo) -> SeriesReadOff:
         raise ValueError("cutoff degree must be at least 2")
     displacements = []
     for i, s in enumerate(se.images, start=1):
-        buckets = _buckets(s.coeffs, d)
-        _times_letter_power(buckets, i, -1, d)
-        if buckets[1]:
+        parts = [dict(part) for part in s.parts]
+        _times_letter_power(parts, i, -1, d)
+        if parts[1]:
             raise NonIAError(
                 f"endomorphism is not IA: image of x{i} shifts the abelianization"
             )
-        displacements.append(TruncSeries(n, d, _flatten(buckets)))
+        displacements.append(TruncSeries(n, d, parts))
     lows = [low for disp in displacements if (low := disp.lowest_degree()) is not None]
     degree = min(lows) - 1 if lows else AboveCutoff()
     return SeriesReadOff(n, degree, tuple(displacements))

@@ -129,6 +129,17 @@ def test_degree_auto_errors(capsys):
     assert "error: cutoff degree must be at least 2" in err
 
 
+def test_degree_word_cutoff_below_one(capsys):
+    # the identity word is checked like any other
+    for word in ("1", "x1"):
+        for cutoff in ("0", "-2"):
+            code, out, err = run_cli(
+                capsys, "degree", "--n", "3", "--max-degree", cutoff, "--word", word
+            )
+            assert code == 2 and out == ""
+            assert "error: cutoff degree must be at least 1" in err
+
+
 def test_deterministic_stdout(capsys):
     args = ("verify", "inner", "--n", "2", "--max-degree", "4", "--samples", "8", "--seed", "1")
     _, out1, _ = run_cli(capsys, *args)

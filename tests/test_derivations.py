@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from lieforge.derivations import (
     HomDerivation,
-    TangentialData,
     ad_derivation,
     ad_image_lattice,
     apply_derivation,
@@ -22,6 +21,7 @@ from lieforge.derivations import (
     image_dim,
     tangential_basis,
     tangential_coords,
+    tangential_derivation,
     tangential_rank_formula,
 )
 from lieforge.dk import tau1
@@ -117,9 +117,7 @@ def test_der_bracket_jacobi(a, b, c):
 def test_ev_boundary_examples():
     n = 3
     assert ev_boundary(tau1(1, 2, n)).is_zero()
-    tang = TangentialData(
-        n, 1, (lie_generator(n, 2), lie_zero(n, 1), lie_zero(n, 1))
-    ).derivation()
+    tang = tangential_derivation(n, 1, (lie_generator(n, 2), lie_zero(n, 1), lie_zero(n, 1)))
     assert ev_boundary(tang) == lie_bracket(lie_generator(n, 1), lie_generator(n, 2))
 
 
@@ -149,7 +147,7 @@ def test_braidlike_members_kill_boundary():
         for (i, u), c in zip(coords, row):
             if c:
                 tangents[i - 1] = lie_add(tangents[i - 1], LieElement(n, k, {lyndon_words(n, k).index(u): c}))
-        d = TangentialData(n, k, tuple(tangents)).derivation()
+        d = tangential_derivation(n, k, tuple(tangents))
         assert ev_boundary(d).is_zero()
 
 
@@ -198,7 +196,7 @@ def _tangential_from_vector(n, k, tv):
     for (i, u), c in zip(coords, tv):
         if c:
             tangents[i - 1] = lie_add(tangents[i - 1], lie_from_word(n, u, c))
-    return TangentialData(n, k, tuple(tangents)).derivation()
+    return tangential_derivation(n, k, tuple(tangents))
 
 
 def der_from_vector(n: int, k: int, vec: dict) -> HomDerivation:

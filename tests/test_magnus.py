@@ -35,12 +35,10 @@ from lieforge.magnus import (
     series_inverse,
     series_johnson_image,
     series_mul,
+    series_endo_truncate,
     series_read_off,
-    series_sub_one,
     word_read_off,
-    _buckets,
     _by_degree,
-    _flatten,
     _times_letter_power,
     _truncated_product,
 )
@@ -60,9 +58,17 @@ from lieforge.words import (
 from lieforge.zlattice import lattice_member, lattice_from_rows
 
 
+def trunc_series(n, d, coeffs):
+    """The TruncSeries with the terms of a flat dict {monomial: coeff}."""
+    parts = [{} for _ in range(d + 1)]
+    for m, c in coeffs.items():
+        parts[len(m)][m] = c
+    return TruncSeries(n, d, parts)
+
+
 def series_endo_identity(n, d):
     """Series table of the identity: x_i -> 1 + X_i."""
-    return SeriesEndo(n, d, tuple(TruncSeries(n, d, {(): 1, (i,): 1}) for i in range(1, n + 1)))
+    return SeriesEndo(n, d, tuple(trunc_series(n, d, {(): 1, (i,): 1}) for i in range(1, n + 1)))
 
 
 def _random_word(rng, n, letters=5):
@@ -77,7 +83,7 @@ def test_expand_examples():
     s = magnus_expand(word_gen(2, 1, -1), 2)
     assert s.coeffs == {(): 1, (1,): -1, (1, 1): 1}
     s = magnus_expand(word_commutator(word_gen(2, 1), word_gen(2, 2)), 2)
-    assert series_sub_one(s) == {(1, 2): 1, (2, 1): -1}
+    assert s.coeffs == {(): 1, (1, 2): 1, (2, 1): -1}
     assert magnus_expand(word_identity(3), 4).coeffs == {(): 1}
 
 
@@ -134,7 +140,7 @@ def test_lie_class_is_lie_element_in_expansion_lattice():
         if isinstance(d, AboveCutoff) or d > 4:
             continue
         cls = lie_class(w, 5)
-        slice_ = magnus_expand(w, d).degree_slice(d)
+        slice_ = magnus_expand(w, d).parts[d]
         assert to_tensor(cls) == slice_
         # membership in the lattice spanned by expanded basis brackets
         monos = sorted({m for u in lyndon_words(n, d) for m in tensor_expand_word(u)})
@@ -231,7 +237,7 @@ def _read_off_by_words(e, d):
     j = min(low for low in lows if low is not None) - 1
     images = []
     for w in disps:
-        tensor = magnus_expand(w, j + 1).degree_slice(j + 1)
+        tensor = magnus_expand(w, j + 1).parts[j + 1]
         coords = tensor_to_lyndon(n, tensor)
         images.append(LieElement(n, j + 1, coords))
     return j, HomDerivation(n, j, tuple(images))
@@ -363,8 +369,7 @@ def test_word_read_off_matches_separate_reads(w, d):
     else:
         k = mu.lowest_degree()
         assert wr.degree == k
-        slice_k = {m: c for m, c in mu.coeffs.items() if len(m) == k}
-        expected = LieElement(w.rank_n, k, tensor_to_lyndon(w.rank_n, slice_k))
+        expected = LieElement(w.rank_n, k, tensor_to_lyndon(w.rank_n, mu.parts[k]))
         assert wr.lie_class() == expected == lie_class(w, d)
     se = inner_series_endo(wr.series)
     table = endo_to_series(endo_inner(w), d)
@@ -444,7 +449,8 @@ def test_truncated_product_matches_naive(a, b, d):
         for mb, cb in b.items():
             full[ma + mb] = full.get(ma + mb, 0) + ca * cb
     want = {m: c for m, c in full.items() if c and len(m) <= d}
-    assert _truncated_product(a, _by_degree(b, d), d) == want
+    a, b = trunc_series(3, d, a), trunc_series(3, d, b)
+    assert _truncated_product(a.parts, _by_degree(b.parts), d) == trunc_series(3, d, want).parts
 
 
 def _family_tables(family, n, d):
@@ -494,15 +500,15 @@ def test_magnus_expand_multiplicative(u, v, d):
 def _naive_compose(a, b):
     """(a o b) by expanding every monomial of b through X_j -> S_j - 1."""
     n, d = a.rank_n, a.max_degree
-    shifted = [_by_degree(series_sub_one(s), d) for s in a.images]
+    shifted = [trunc_series(n, d, {m: c for m, c in s.coeffs.items() if m}) for s in a.images]
     images = []
     for s in b.images:
         out: dict = {}
         for mono, c in s.coeffs.items():
-            sub = {(): 1}
+            sub = trunc_series(n, d, {(): 1})
             for j in mono:
-                sub = _truncated_product(sub, shifted[j - 1], d)
-            for m, v in sub.items():
+                sub = series_mul(sub, shifted[j - 1])
+            for m, v in sub.coeffs.items():
                 out[m] = out.get(m, 0) + c * v
         images.append({m: v for m, v in out.items() if v})
     return images
@@ -533,12 +539,12 @@ def substitution_cases(draw):
             coeffs[(j,)] = 2
         elif j == bad and kind == "extra" and n > 1:
             coeffs[(j % n + 1,)] = draw(st.sampled_from([-1, 1]))
-        images.append(TruncSeries(n, d, coeffs))
+        images.append(trunc_series(n, d, coeffs))
     b = [draw(series_dicts(n, d)) for _ in range(n)]
     return (
         kind,
         SeriesEndo(n, d, tuple(images)),
-        SeriesEndo(n, d, tuple(TruncSeries(n, d, s) for s in b)),
+        SeriesEndo(n, d, tuple(trunc_series(n, d, s) for s in b)),
     )
 
 
@@ -555,14 +561,11 @@ def test_series_endo_compose_shortcut_matches_naive(case):
     # the shortcut is taken exactly where the cutoff leaves room: monomials
     # longer than d - shift, shift = (lowest degree of S_j - 1 - X_j) - 1
     n, d = a.rank_n, a.max_degree
-    ia = all(
-        {m: c for m, c in s.coeffs.items() if len(m) == 1} == {(j,): 1}
-        for j, s in enumerate(a.images, start=1)
-    )
+    ia = all(s.parts[1] == {(j,): 1} for j, s in enumerate(a.images, start=1))
     lows = [
-        min(len(m) for m in s.coeffs if len(m) > 1)
+        min(k for k in range(2, d + 1) if s.parts[k])
         for s in a.images
-        if any(len(m) > 1 for m in s.coeffs)
+        if any(s.parts[2:])
     ]
     if not ia:
         assert kind != "ia" and sub.keep == d
@@ -626,6 +629,52 @@ def test_series_endo_commutator_matches_three_compositions(case):
 
 
 # ---------------------------------------------------------------------------
+# the per-degree storage format
+
+
+def _assert_parts(s):
+    """s has one part per degree 0..max_degree, part k holding nonzero
+    coefficients of length-k monomials only."""
+    assert len(s.parts) == s.max_degree + 1
+    for k, part in enumerate(s.parts):
+        assert all(len(m) == k for m in part), (k, part)
+        assert 0 not in part.values(), (k, part)
+
+
+def _snapshot(*tables):
+    return [[dict(part) for part in s.parts] for t in tables for s in t.images]
+
+
+@PROPERTIES
+@given(words_with_identity(), st.integers(1, 5), commutator_operands(), st.integers(1, 5))
+def test_series_ops_keep_per_degree_parts(w, d, case, cut):
+    mu = magnus_expand(w, d)
+    _assert_parts(mu)
+    before = [dict(part) for part in mu.parts]
+    for s in (series_inverse(mu), *inner_series_endo(mu).images):
+        _assert_parts(s)
+    assert mu.parts == before
+    (a, a_inv), (b, b_inv) = case
+    inputs = (a, a_inv, b, b_inv)
+    before = _snapshot(*inputs)
+    composed = series_endo_compose(a, b)
+    comm = series_endo_commutator(a, a_inv, b, b_inv)
+    # truncation shares its parts with a, so reading it off must not touch a
+    truncated = series_endo_truncate(a, min(cut, a.max_degree))
+    tables = (composed, comm, truncated)
+    for s in (s for t in tables for s in t.images):
+        _assert_parts(s)
+    assert _snapshot(*inputs) == before
+    inputs += tables
+    before = _snapshot(*inputs)
+    for t in (a, comm, truncated):
+        if t.max_degree >= 2:
+            for disp in series_read_off(t).displacements:
+                _assert_parts(disp)
+    assert _snapshot(*inputs) == before
+
+
+# ---------------------------------------------------------------------------
 # the letter-power kernel
 
 
@@ -636,15 +685,15 @@ def _letter_oracle(n, g, e, d):
         factor = {(): 1, (g,): 1}
     else:
         factor = {(g,) * t: (-1) ** t for t in range(d + 1)}
-    out = TruncSeries(n, d, {(): 1})
+    out = trunc_series(n, d, {(): 1})
     for _ in range(abs(e)):
-        out = series_mul(out, TruncSeries(n, d, factor))
+        out = series_mul(out, trunc_series(n, d, factor))
     return out
 
 
 def _expand_oracle(w, d):
     """mu(w) letter by letter through series_mul."""
-    out = TruncSeries(w.rank_n, d, {(): 1})
+    out = trunc_series(w.rank_n, d, {(): 1})
     for g, e in w.letters:
         out = series_mul(out, _letter_oracle(w.rank_n, g, e, d))
     return out
@@ -662,7 +711,7 @@ def letter_power_cases(draw):
     e = draw(EXPONENTS)
     a = draw(series_dicts(d=d))
     if draw(st.booleans()):
-        a = series_mul(TruncSeries(3, d, a), _letter_oracle(3, g, -e, d)).coeffs
+        a = series_mul(trunc_series(3, d, a), _letter_oracle(3, g, -e, d)).coeffs
     return d, g, e, a
 
 
@@ -670,14 +719,14 @@ def letter_power_cases(draw):
 @given(letter_power_cases())
 def test_letter_power_kernel_matches_series_mul(case):
     d, g, e, a = case
-    buckets = _buckets(a, d)
-    _times_letter_power(buckets, g, e, d)
-    got = _flatten(buckets)
+    parts = trunc_series(3, d, a).parts
+    _times_letter_power(parts, g, e, d)
+    got = TruncSeries(3, d, parts).coeffs
     letter = magnus_expand(word_gen(3, g, e), d)
     assert letter.coeffs == _letter_oracle(3, g, e, d).coeffs
-    assert got == series_mul(TruncSeries(3, d, a), letter).coeffs
+    assert got == series_mul(trunc_series(3, d, a), letter).coeffs
     assert 0 not in got.values()
-    assert all(len(m) == k for k, bucket in enumerate(buckets) for m in bucket)
+    assert all(len(m) == k for k, part in enumerate(parts) for m in part)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -691,7 +740,7 @@ def test_magnus_expand_matches_letter_by_letter_oracle(pairs, d):
 
 def _first_non_ia(oracle):
     return next((i for i, disp in enumerate(oracle, start=1)
-                 if any(len(m) == 1 for m in disp.coeffs)), None)
+                 if disp.parts[1]), None)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
