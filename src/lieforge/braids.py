@@ -3,7 +3,8 @@
 Artin generators, pure braid generators, inner automorphisms, the central
 braid xi_n, the curve twists C_j and the triangular / basis-conjugating
 generators all live here, as formal invertible words over named symbols with
-evaluation to generator-image tables.
+evaluation to generator-image tables.  The pure braid generators A(i,j) are
+built in closed form from their reduced images, not as products of sigmas.
 
 Convention: sigma_i sends x_i -> x_{i+1} and x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
 and fixes the other generators.  This is the mirror of the other classical
@@ -178,18 +179,36 @@ def sigma_table(i: int, n: int, sign: int = 1) -> EndoTable:
 
 
 def pure_a_table(i: int, j: int, n: int, sign: int = 1) -> EndoTable:
-    """Evaluation of (sigma_{j-1}...sigma_{i+1}) sigma_i^{2 sign} (conjugator inverted)."""
+    """A(i,j), or its inverse for sign -1, built in closed form.
+
+    A(i,j) is (sigma_{j-1}...sigma_{i+1}) sigma_i^2 (sigma_{j-1}...sigma_{i+1})^-1
+    (Artin 1947; Birman 1974, section 1.4).  Under the sigma convention above:
+
+    * sign +1: x_i -> x_j^-1 x_i x_j, x_j -> (x_i x_j)^-1 x_j (x_i x_j), and
+      x_t -> w x_t w^-1 for i < t < j, where w = x_j^-1 x_i^-1 x_j x_i;
+    * sign -1: x_i -> (x_i x_j) x_i (x_i x_j)^-1, x_j -> x_i x_j x_i^-1, and
+      x_t -> w x_t w^-1 for i < t < j, where w = x_i x_j x_i^-1 x_j^-1;
+
+    and fixes the other generators.  Every image is freely reduced as written,
+    so each is stored directly; tests check the table against the sigma product.
+    """
     if not 1 <= i < j <= n:
         raise ValueError(f"pure braid indices ({i},{j}) out of range for rank {n}")
-    conj = list(range(j - 1, i, -1))
-    table = endo_identity(n)
-    for t in conj:
-        table = endo_compose(table, sigma_table(t, n))
-    table = endo_compose(table, sigma_table(i, n, sign))
-    table = endo_compose(table, sigma_table(i, n, sign))
-    for t in reversed(conj):
-        table = endo_compose(table, sigma_table(t, n, -1))
-    return table
+    if sign > 0:
+        img_i = ((j, -1), (i, 1), (j, 1))
+        img_j = ((j, -1), (i, -1), (j, 1), (i, 1), (j, 1))
+        w = ((j, -1), (i, -1), (j, 1), (i, 1))
+    else:
+        img_i = ((i, 1), (j, 1), (i, 1), (j, -1), (i, -1))
+        img_j = ((i, 1), (j, 1), (i, -1))
+        w = ((i, 1), (j, 1), (i, -1), (j, -1))
+    w_inv = tuple((g, -e) for g, e in reversed(w))
+    images = [word_gen(n, t) for t in range(1, n + 1)]
+    images[i - 1] = ReducedWord(n, img_i)
+    images[j - 1] = ReducedWord(n, img_j)
+    for t in range(i + 1, j):
+        images[t - 1] = ReducedWord(n, w + ((t, 1),) + w_inv)
+    return EndoTable(n, tuple(images))
 
 
 def boundary(n: int) -> ReducedWord:
@@ -279,8 +298,11 @@ def symbol_table(sym: AutSymbol, n: int, sign: int = 1) -> EndoTable:
 
 def evaluate(aw: AutWord) -> EndoTable:
     """Monoid-morphism evaluation; the leftmost symbol acts last."""
-    table = endo_identity(aw.rank_n)
-    for sym, sign in aw.symbols:
+    if not aw.symbols:
+        return endo_identity(aw.rank_n)
+    (sym, sign), *rest = aw.symbols
+    table = symbol_table(sym, aw.rank_n, sign)
+    for sym, sign in rest:
         table = endo_compose(table, symbol_table(sym, aw.rank_n, sign))
     return table
 

@@ -72,7 +72,7 @@ _AUT_TOKEN = re.compile(
 
 def parse_aut_expr(n: int, text: str) -> braids.AutWord:
     """Parse dot-separated automorphism symbols into a formal word."""
-    out = braids.aut_identity(n)
+    symbols: list[tuple[braids.AutSymbol, int]] = []
     for tok in text.strip().split("."):
         tok = tok.strip()
         if not tok:
@@ -96,9 +96,8 @@ def parse_aut_expr(n: int, text: str) -> braids.AutWord:
         if power < 0:
             base = base.inverse()
             power = -power
-        for _ in range(power):
-            out = braids.aut_mul(out, base)
-    return out
+        symbols.extend(base.symbols * power)
+    return braids.AutWord(n, tuple(symbols))
 
 
 def cmd_witt(args) -> int:

@@ -76,13 +76,18 @@ def word_inverse(a: ReducedWord) -> ReducedWord:
 
 
 def word_commutator(a: ReducedWord, b: ReducedWord) -> ReducedWord:
-    """Reduced form of a b a^-1 b^-1."""
-    return word_mul(word_mul(a, b), word_mul(word_inverse(a), word_inverse(b)))
+    """Reduced form of a b a^-1 b^-1; the four factors are reduced in one pass."""
+    if a.rank_n != b.rank_n:
+        raise ValueError("rank mismatch")
+    letters = a.letters + b.letters + word_inverse(a).letters + word_inverse(b).letters
+    return ReducedWord(a.rank_n, _reduce(letters))
 
 
 def word_conjugate(w: ReducedWord, x: ReducedWord) -> ReducedWord:
-    """The conjugate w x w^-1."""
-    return word_mul(word_mul(w, x), word_inverse(w))
+    """The conjugate w x w^-1; the three factors are reduced in one pass."""
+    if w.rank_n != x.rank_n:
+        raise ValueError("rank mismatch")
+    return ReducedWord(w.rank_n, _reduce(w.letters + x.letters + word_inverse(w).letters))
 
 
 def exponent_sums(a: ReducedWord) -> list[int]:

@@ -1,8 +1,12 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.braids import (
+    AutWord,
+    aut_identity,
     aut_mul,
     aut_word,
     boundary,
@@ -20,7 +24,11 @@ from lieforge.braids import (
     sigma_table,
     sym_a,
     sym_chi,
+    sym_cj,
+    sym_inner,
+    sym_sigma,
     sym_tri,
+    symbol_table,
     xi_word,
 )
 from lieforge.words import (
@@ -72,6 +80,31 @@ def test_pure_a_tables_are_braid_tables():
     for i, j, n in ((2, 1, 3), (1, 1, 3), (1, 4, 3), (0, 2, 3)):
         with pytest.raises(ValueError):
             pure_a_table(i, j, n, sign=-1)
+
+
+def sigma_product_a_table(i: int, j: int, n: int, sign: int = 1):
+    """A(i,j)^sign as (sigma_{j-1}...sigma_{i+1}) sigma_i^(2 sign) (sigma_{j-1}...sigma_{i+1})^-1:
+    the oracle for the closed form."""
+    conj = list(range(j - 1, i, -1))
+    table = endo_identity(n)
+    for t in conj:
+        table = endo_compose(table, sigma_table(t, n))
+    table = endo_compose(table, sigma_table(i, n, sign))
+    table = endo_compose(table, sigma_table(i, n, sign))
+    for t in reversed(conj):
+        table = endo_compose(table, sigma_table(t, n, -1))
+    return table
+
+
+def test_pure_a_closed_form_matches_sigma_product():
+    for n in range(2, 8):
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for sign in (1, -1):
+                    got = pure_a_table(i, j, n, sign)
+                    assert got.images == sigma_product_a_table(i, j, n, sign).images, (
+                        n, i, j, sign,
+                    )
 
 
 def test_a12_is_inverse_boundary_conjugation():
@@ -207,3 +240,55 @@ def test_tri_inverse():
     assert endo_equal(
         endo_compose(evaluate(w), evaluate(w.inverse())), endo_identity(n)
     )
+
+
+def test_evaluate_one_symbol_is_its_table():
+    n = 3
+    gamma = word_from_pairs(n, [(1, 1), (2, 1), (1, -1), (2, -1)])
+    symbols = [
+        sym_sigma(1),
+        sym_a(1, n),
+        sym_inner(parse_word(n, "x1 x2^-1")),
+        sym_chi(2, 1),
+        sym_tri(3, word_gen(n, 1), gamma),
+        sym_cj(1),
+    ]
+    for sym in symbols:
+        for sign in (1, -1):
+            got = evaluate(AutWord(n, ((sym, sign),)))
+            assert got == symbol_table(sym, n, sign), (sym.label(), sign)
+
+
+def test_evaluate_empty_word_is_identity():
+    for n in range(1, 5):
+        assert evaluate(aut_identity(n)) == endo_identity(n)
+
+
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def aut_words(draw):
+    """A random product of at most 4 signed A/C/xi/inn/s factors at rank n <= 4."""
+    n = draw(st.integers(2, 4))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])
+    letters = st.lists(
+        st.tuples(st.integers(1, n), st.sampled_from((-1, 1))), min_size=1, max_size=3
+    )
+    factor = st.one_of(
+        pair.map(lambda p: aut_word(n, sym_a(*p))),
+        st.integers(1, n - 1).map(lambda j: aut_word(n, sym_cj(j))),
+        st.just(xi_word(n)),
+        letters.map(lambda ls: aut_word(n, sym_inner(word_from_pairs(n, ls)))),
+        st.integers(1, n - 1).map(lambda i: aut_word(n, sym_sigma(i))),
+    )
+    factors = draw(st.lists(st.tuples(factor, st.booleans()), max_size=4))
+    return aut_mul(aut_identity(n), *(f.inverse() if inv else f for f, inv in factors))
+
+
+@PROPERTIES
+@given(aut_words())
+def test_evaluate_is_left_fold_from_identity(aw):
+    n = aw.rank_n
+    tables = [symbol_table(sym, n, sign) for sym, sign in aw.symbols]
+    assert evaluate(aw) == reduce(endo_compose, tables, endo_identity(n)), aw.label()

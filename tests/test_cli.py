@@ -5,7 +5,15 @@ import shlex
 import pytest
 
 from lieforge.cli import main, parse_aut_expr
-from lieforge.braids import evaluate, pure_a_table, xi_word
+from lieforge.braids import (
+    aut_identity,
+    aut_mul,
+    aut_word,
+    evaluate,
+    pure_a_table,
+    sym_a,
+    xi_word,
+)
 from lieforge.words import endo_equal, endo_inner, parse_word
 
 
@@ -169,6 +177,19 @@ def test_parse_aut_expr():
     )
     with pytest.raises(Exception):
         parse_aut_expr(2, "Q(1)")
+
+
+def test_parse_aut_expr_long_power():
+    w = parse_aut_expr(3, "A(1,2)^400")
+    assert len(w.symbols) == 400
+    base = aut_word(3, sym_a(1, 2))
+    product = aut_identity(3)
+    for _ in range(400):
+        product = aut_mul(product, base)
+    assert w == product
+    assert parse_aut_expr(3, "A(1,2)^-3.xi") == aut_mul(
+        base.inverse(), base.inverse(), base.inverse(), xi_word(3)
+    )
 
 
 # stdout digests of ops that exercise the series product, lattice membership,

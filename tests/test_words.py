@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.words import (
     EndoTable,
@@ -63,6 +64,29 @@ def test_commutator_examples():
     assert word_commutator(x1, x2) == parse_word(2, "x1 x2 x1^-1 x2^-1")
     # [x1x2, x2] reduces back to [x1, x2]
     assert word_commutator(word_mul(x1, x2), x2) == word_commutator(x1, x2)
+
+
+def test_commutator_and_conjugate_check_rank():
+    with pytest.raises(ValueError):
+        word_commutator(word_gen(2, 1), word_gen(3, 1))
+    with pytest.raises(ValueError):
+        word_conjugate(word_gen(2, 1), word_gen(3, 1))
+
+
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=100)
+
+reduced_words = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(-2, 2)), max_size=6
+).map(lambda pairs: word_from_pairs(3, pairs))
+
+
+@PROPERTIES
+@given(reduced_words, reduced_words)
+def test_commutator_and_conjugate_match_stepwise_products(a, b):
+    # the oracle multiplies one factor at a time, reducing after each step
+    ai, bi = word_inverse(a), word_inverse(b)
+    assert word_commutator(a, b) == word_mul(word_mul(word_mul(a, b), ai), bi)
+    assert word_conjugate(a, b) == word_mul(word_mul(a, b), ai)
 
 
 def test_associativity_random():
