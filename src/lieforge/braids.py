@@ -371,14 +371,13 @@ def quotient_table(e: EndoTable) -> EndoTable:
     subs = [word_gen(m, t) for t in range(1, m + 1)] + [last]
 
     def push(w: ReducedWord) -> ReducedWord:
-        out = word_identity(m)
+        pairs: list[tuple[int, int]] = []
         for g, exp in w.letters:
             img = subs[g - 1]
             if exp < 0:
                 img = word_inverse(img)
-            for _ in range(abs(exp)):
-                out = word_mul(out, img)
-        return out
+            pairs.extend(img.letters * abs(exp))
+        return word_from_pairs(m, pairs)
 
     return EndoTable(m, tuple(push(e.images[t]) for t in range(m)))
 

@@ -1,16 +1,18 @@
-"""Exact integer linear algebra: Hermite forms, kernels and lattice arithmetic.
+"""Exact integer linear algebra: echelon and Hermite forms, kernels and lattices.
 
 Everything here is over Z with arbitrary-precision integers; there is no
-floating point and no modular arithmetic anywhere.  A lattice (finitely
-generated subgroup of Z^m) is always stored through its canonical row-style
-Hermite basis, so two lattices are equal exactly when their representations
-compare equal.
+floating point and no modular arithmetic anywhere.
 
 Vectors are sparse: every function here takes a dict {index: coeff} (or a
 dense sequence, converted at the boundary), and elimination works on sparse
-rows keyed by pivot.  A lattice keeps its canonical Hermite basis as sparse
-rows too; the dense ``IntLattice.basis`` matrix is built only when a caller
-reads it.
+rows keyed by pivot.  A lattice (finitely generated subgroup of Z^m) is
+stored through the echelon rows that elimination leaves: one row per pivot
+column, found by unimodular steps, so they form a basis.  Rank, membership,
+sums, intersections and relations read only those rows.  The canonical
+row-style Hermite basis, which decides equality, is built from them by
+back-substitution the first time a caller compares, hashes or prints a
+lattice, and the dense ``IntLattice.basis`` matrix only when a caller reads
+it.
 """
 
 from __future__ import annotations
@@ -138,8 +140,11 @@ class LatticeBuilder:
         return len(self._rows)
 
     def add(self, vec) -> bool:
+        return self._insert(_sparse(vec, self.ambient))
+
+    def _insert(self, v: dict[int, int]) -> bool:
+        """Eliminate v, a sparse row that the builder may keep or modify."""
         rows = self._rows
-        v = _sparse(vec, self.ambient)
         changed = False
         while _reduce(v, rows):
             j = min(v)
@@ -160,16 +165,47 @@ class LatticeBuilder:
         return not _reduce(_sparse(vec, self.ambient), self._rows)
 
     def lattice(self) -> "IntLattice":
-        """The spanned lattice, through its canonical Hermite basis.
+        """The spanned lattice, through the current echelon rows.
 
-        Pivots are positive and the entries above each pivot lie in [0, pivot).
+        The builder never changes a row in place, so the lattice shares them.
+        """
+        return IntLattice(self.ambient, {p: self._rows[p] for p in sorted(self._rows)})
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class IntLattice:
+    """A sublattice of Z^ambient_dim, stored through echelon rows.
+
+    ``pivot_rows`` maps each pivot (leading) column, in increasing order, to
+    a sparse row {index: coeff}; the rows form a basis, but the pivots may be
+    negative and the entries above them are not reduced.  ``rows`` is the
+    canonical Hermite basis, built on first access: positive pivots, the
+    entries above each pivot in [0, pivot), each row a tuple of (index,
+    coeff) pairs sorted by index, in pivot order.  Equality and hashing go
+    through ``rows``, so equal lattices compare and hash equal.
+    """
+
+    ambient_dim: int
+    pivot_rows: dict[int, dict[int, int]]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def is_zero(self) -> bool:
+        return not self.pivot_rows
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The canonical Hermite basis rows, in pivot order.
+
         Rows are finished from the largest pivot down; each is reduced only at
         the later pivot columns in its own support, smallest first, since a
         subtraction at column j changes nothing left of j.
         """
         done: dict[int, dict[int, int]] = {}
-        for p in sorted(self._rows, reverse=True):
-            row = self._rows[p]
+        for p in reversed(self.pivot_rows):
+            row = self.pivot_rows[p]
             row = dict(row) if row[p] > 0 else {t: -x for t, x in row.items()}
             todo = [t for t in row if t in done]
             heapq.heapify(todo)
@@ -183,39 +219,27 @@ class LatticeBuilder:
                             heapq.heappush(todo, t)
                     _sub_multiple(row, q, below)
             done[p] = row
-        return IntLattice(
-            self.ambient, tuple(tuple(sorted(done[p].items())) for p in sorted(done))
-        )
-
-
-@dataclass(frozen=True)
-class IntLattice:
-    """A sublattice of Z^ambient_dim, stored through its canonical Hermite basis.
-
-    ``rows`` holds the basis rows in pivot order, each a tuple of
-    (index, coeff) pairs sorted by index, so equal lattices compare and hash
-    equal.
-    """
-
-    ambient_dim: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    @cached_property
-    def pivot_rows(self) -> dict[int, dict[int, int]]:
-        """The basis rows as sparse dicts keyed by pivot, in pivot order."""
-        return {row[0][0]: dict(row) for row in self.rows}
+        return tuple(tuple(sorted(done[p].items())) for p in self.pivot_rows)
 
     @cached_property
     def basis(self) -> IntMatrix:
         """The canonical basis as a dense matrix, built on first access."""
         return IntMatrix.from_sparse(self.rows, self.ambient_dim)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntLattice):
+            return NotImplemented
+        return (
+            self.ambient_dim == other.ambient_dim
+            and self.rank == other.rank
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.rows))
+
+    def __repr__(self) -> str:
+        return f"IntLattice(ambient_dim={self.ambient_dim!r}, rows={self.rows!r})"
 
 
 def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
@@ -226,7 +250,7 @@ def lattice_from_rows(rows, ambient_dim: int) -> IntLattice:
 
 
 def zero_lattice(ambient_dim: int) -> IntLattice:
-    return IntLattice(ambient_dim, ())
+    return IntLattice(ambient_dim, {})
 
 
 def smith_rank(m: IntMatrix) -> int:
@@ -281,7 +305,7 @@ def lattice_sum(a: IntLattice, b: IntLattice) -> IntLattice:
 
 
 def lattice_intersect(a: IntLattice, b: IntLattice) -> IntLattice:
-    """Canonical basis of the intersection, from the relations among both bases.
+    """The intersection, from the relations among both bases.
 
     A relation x with sum_t x_t a_t + sum_s x_s b_s = 0 gives the common
     element sum_t x_t a_t, and every common element arises this way.
@@ -305,8 +329,9 @@ def relations_among(vectors) -> IntLattice:
     Vectors are dicts {key: coeff} with keys of any one sortable type, or
     dense sequences.  Each v_t is echelonized together with a unit marker
     e_t placed after every vector coordinate.  Every elimination step is
-    unimodular, so the echelon rows whose vector part vanished span the
-    saturated relation lattice.
+    unimodular, so the echelon rows whose vector part vanished, those with
+    pivot at or after the markers, are a basis of the saturated relation
+    lattice; shifted onto the markers they are its echelon rows as they stand.
     """
     vecs = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
     keys = sorted({key for v in vecs for key, c in v.items() if c})
@@ -316,8 +341,12 @@ def relations_among(vectors) -> IntLattice:
     for t, v in enumerate(vecs):
         row = {col[key]: c for key, c in v.items() if c}
         row[width + t] = 1
-        b.add(row)
-    return lattice_from_rows(
-        ({j - width: x for j, x in row.items()} for p, row in b._rows.items() if p >= width),
+        b._insert(row)
+    return IntLattice(
         m,
+        {
+            p - width: {j - width: x for j, x in b._rows[p].items()}
+            for p in sorted(b._rows)
+            if p >= width
+        },
     )

@@ -32,6 +32,7 @@ from lieforge.braids import (
     xi_word,
 )
 from lieforge.words import (
+    EndoTable,
     endo_apply,
     endo_compose,
     endo_equal,
@@ -43,6 +44,7 @@ from lieforge.words import (
     word_identity,
     word_inverse,
     word_is_conjugate,
+    word_mul,
 )
 
 
@@ -292,3 +294,37 @@ def test_evaluate_is_left_fold_from_identity(aw):
     n = aw.rank_n
     tables = [symbol_table(sym, n, sign) for sym, sign in aw.symbols]
     assert evaluate(aw) == reduce(endo_compose, tables, endo_identity(n)), aw.label()
+
+
+def stepwise_quotient_table(e: EndoTable) -> EndoTable:
+    """The quotient substitution pushed one word_mul per substituted letter."""
+    m = e.rank_n - 1
+    last = word_inverse(word_from_pairs(m, [(t, 1) for t in range(1, m + 1)]))
+    subs = [word_gen(m, t) for t in range(1, m + 1)] + [last]
+    images = []
+    for w in e.images[:m]:
+        out = word_identity(m)
+        for g, exp in w.letters:
+            img = subs[g - 1] if exp > 0 else word_inverse(subs[g - 1])
+            for _ in range(abs(exp)):
+                out = word_mul(out, img)
+        images.append(out)
+    return EndoTable(m, tuple(images))
+
+
+@st.composite
+def endo_tables(draw):
+    """A table of random words at rank n <= 5, heavy in x_n so the substitution cancels."""
+    n = draw(st.integers(2, 5))
+    letter = st.tuples(
+        st.one_of(st.just(n), st.integers(1, n)), st.integers(-3, 3).filter(bool)
+    )
+    images = draw(st.lists(st.lists(letter, max_size=8), min_size=n, max_size=n))
+    return EndoTable(n, tuple(word_from_pairs(n, ls) for ls in images))
+
+
+@PROPERTIES
+@given(endo_tables())
+def test_quotient_push_matches_stepwise_products(e):
+    assert quotient_table(e) == stepwise_quotient_table(e)
+

@@ -342,16 +342,26 @@ def test_intersection_and_kernel_properties(a_case, b_case):
 def test_sparse_rows_and_dense_basis_agree(case, cut):
     cols, rows = case
     lat = lattice_from_rows(rows, cols)
-    assert "basis" not in lat.__dict__
-    assert lat.rank == len(lat.rows) == len(lat.pivot_rows)
+    assert "rows" not in lat.__dict__ and "basis" not in lat.__dict__
+    assert lat.rank == len(lat.pivot_rows)
     assert lat.is_zero() == (lat.rank == 0)
+    assert list(lat.pivot_rows) == sorted(lat.pivot_rows)
+    for p, echelon in lat.pivot_rows.items():
+        assert min(echelon) == p and all(echelon.values())
     basis = lat.basis
-    assert "basis" in lat.__dict__
+    assert "rows" in lat.__dict__ and "basis" in lat.__dict__
+    assert lat.rank == len(lat.rows)
     assert (basis.rows, basis.cols) == (lat.rank, cols)
-    for row, (p, by_pivot), dense in zip(lat.rows, lat.pivot_rows.items(), basis.entries):
+    for row, (p, echelon), dense in zip(lat.rows, lat.pivot_rows.items(), basis.entries):
         assert list(row) == sorted(row) and all(x for _, x in row)
-        assert row[0][0] == p and dict(row) == by_pivot
-        assert dense == tuple(by_pivot.get(j, 0) for j in range(cols))
+        # the echelon and canonical rows share pivot columns; the canonical
+        # pivot is the echelon one made positive
+        assert row[0][0] == p and row[0][1] == abs(echelon[p])
+        assert dense == tuple(dict(row).get(j, 0) for j in range(cols))
+    # each basis lies in the lattice the other spans
+    canonical = lattice_from_rows([dict(row) for row in lat.rows], cols)
+    assert all(lattice_member(echelon, canonical) for echelon in lat.pivot_rows.values())
+    assert all(lattice_member(dict(row), lat) for row in lat.rows)
     # equality and hash follow the dense canonical bases
     other = lattice_from_rows(rows[:cut], cols)
     assert (lat == other) == (lat.basis == other.basis)
@@ -361,26 +371,94 @@ def test_sparse_rows_and_dense_basis_agree(case, cut):
     assert hash(lat) == hash(lattice_from_rows(basis.entries, cols))
 
 
+@st.composite
+def respelled_row_sets(draw):
+    """(cols, rows, respelled): respelled adds duplicated and scaled copies of
+    rows to rows and reorders them, so both span the same lattice."""
+    cols, rows = draw(sparse_matrices(max_cols=5, max_rows=5))
+    copies = []
+    if rows:
+        picks = st.tuples(st.integers(0, len(rows) - 1), st.integers(-3, 3))
+        for t, c in draw(st.lists(picks, max_size=4)):
+            copies.append({j: c * x for j, x in rows[t].items()})
+    return cols, rows, draw(st.permutations(rows + copies))
+
+
+@PROPERTIES
+@given(respelled_row_sets(), sparse_matrices(max_cols=5, max_rows=5))
+def test_echelon_first_lattices_against_canonical_oracles(case, other_case):
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    cols, rows, respelled = case
+    lat, same = lattice_from_rows(rows, cols), lattice_from_rows(respelled, cols)
+    # equality and hash agree with comparing the canonical rows
+    other = lattice_from_rows(other_case[1], other_case[0])
+    for a, b in ((lat, same), (lat, other), (same, other)):
+        canonical_equal = (a.ambient_dim, a.rows) == (b.ambient_dim, b.rows)
+        assert (a == b) is canonical_equal
+        if canonical_equal:
+            assert hash(a) == hash(b)
+    assert lat == same
+    if rows:
+        m = Matrix([_dense(r, cols) for r in respelled])
+        assert same.rank == smith_rank(IntMatrix.from_rows(m.tolist()))
+        # sympy's column-style form of the column-reversed transpose is the
+        # canonical basis read backwards
+        h = hermite_normal_form(m[:, ::-1].T).T.tolist()
+        want = tuple(
+            tuple((cols - 1 - j, int(x)) for j, x in reversed(list(enumerate(r))) if x)
+            for r in reversed(h)
+        )
+        assert same.rows == want
+    else:
+        assert same.rank == 0 and same.rows == ()
+    # the relation rows are already a canonical-equivalent basis: eliminating
+    # them again, as relations were once returned, gives the same lattice
+    rel = relations_among(respelled)
+    again = lattice_from_rows(rel.pivot_rows.values(), len(respelled))
+    assert rel == again and hash(rel) == hash(again)
+    assert rel.rank == again.rank and rel.rows == again.rows
+
+
 def test_rank_leaves_the_dense_basis_unbuilt(monkeypatch):
+    from functools import lru_cache
+
+    from lieforge import cli, dk as dk_module
     from lieforge.derivations import braidlike_lattice, braidlike_rank_formula
     from lieforge.dk import dk_center, dk_component, dk_rank_formula, dk_star_center
 
-    bl = braidlike_lattice.__wrapped__(4, 4)
-    dk = dk_component.__wrapped__(4, 4).lattice
-    assert (bl.rank, dk.rank) == (braidlike_rank_formula(4, 4), dk_rank_formula(4, 4))
-    assert "basis" not in bl.__dict__ and "basis" not in dk.__dict__
-    # no library path reads the dense basis: the center computations and the
-    # lattice sum and intersection run with it unavailable
+    # no rank, center, sum or intersection path reads the canonical rows or
+    # the dense basis: they all run with both unavailable
     def unavailable(lat):
-        raise AssertionError("dense basis read")
+        raise AssertionError("canonical basis read")
 
+    monkeypatch.setattr(IntLattice, "rows", property(unavailable))
     monkeypatch.setattr(IntLattice, "basis", property(unavailable))
-    assert [lat.rank for lat in dk_center(4, 3).values()] == [1, 0, 0]
-    assert [lat.rank for lat in dk_star_center(4, 3).values()] == [0, 0, 0]
+
+    def unbuilt(lat):
+        return "rows" not in lat.__dict__ and "basis" not in lat.__dict__
+
+    for k in range(1, 5):
+        bl = braidlike_lattice.__wrapped__(4, k)
+        dk = dk_component.__wrapped__(4, k).lattice
+        assert (bl.rank, dk.rank) == (braidlike_rank_formula(4, k), dk_rank_formula(4, k))
+        assert unbuilt(bl) and unbuilt(dk)
+    for obj in ("dk", "der-t-boundary"):
+        assert cli.main(["ranks", "--object", obj, "--n", "4", "--max-degree", "4"]) == 0
+    # a fresh cache, so the centers are computed here and not read from
+    # lattices another caller may have printed
+    fresh = lru_cache(maxsize=None)(dk_module._central_sublattice.__wrapped__)
+    monkeypatch.setattr(dk_module, "_central_sublattice", fresh)
+    center, star = dk_center(4, 3), dk_star_center(4, 3)
+    assert [lat.rank for lat in center.values()] == [1, 0, 0]
+    assert [lat.rank for lat in star.values()] == [0, 0, 0]
+    assert all(unbuilt(lat) for lat in (*center.values(), *star.values()))
     a = lattice_from_rows([{0: 2, 3: 1}, {1: 3}], 4)
     b = lattice_from_rows([{0: 4, 3: 2}, {1: 1, 2: 1}], 4)
-    assert lattice_intersect(a, b).rank == 1
-    assert lattice_sum(a, b).rank == 3
+    inter, total = lattice_intersect(a, b), lattice_sum(a, b)
+    assert (inter.rank, total.rank) == (1, 3)
+    assert all(unbuilt(lat) for lat in (a, b, inter, total))
 
 
 def test_canonical_shape_of_larger_lattices():
