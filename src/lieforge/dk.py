@@ -2,9 +2,13 @@
 
 The degree-one generators are the explicit derivations tau1(i, j); the
 degree-k component is the lattice spanned by left-normed brackets of those
-generators, computed incrementally in generator-image coordinates.  The
-abstract presentation (infinitesimal braid relations) is verified against
-the realization, never used as the data structure.
+generators.  Every element is tangential, X_i -> [X_i, t_i], so it is
+carried by its tangents t_1..t_n: brackets are taken in them
+(``der_bracket``) and the component is eliminated incrementally in
+tangential coordinates, the coordinates of ``braidlike_lattice``.  The
+generator-image lattice is built from the spanning tangents when a caller
+reads it.  The abstract presentation (infinitesimal braid relations) is
+verified against the realization, never used as the data structure.
 
 Also hosts the exact Bernoulli / power-sum arithmetic used by the rank
 census.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .derivations import (
@@ -26,8 +30,11 @@ from .derivations import (
     der_vector,
     der_zero,
     image_dim,
+    tangent_vector,
+    tangential_coords,
+    tangential_derivation,
 )
-from .freelie import lie_bracket, lie_generator, lie_zero, witt_rank
+from .freelie import lie_add, lie_bracket, lie_generator, lie_zero, witt_rank
 from .zlattice import (
     IntLattice,
     LatticeBuilder,
@@ -41,18 +48,18 @@ from .zlattice import (
 
 @lru_cache(maxsize=None)
 def tau1(i: int, j: int, n: int) -> HomDerivation:
-    """Degree-1 braid derivation: X_i -> [X_i, X_j], X_j -> [X_j, X_i], 0 else."""
+    """Degree-1 braid derivation: X_i -> [X_i, X_j], X_j -> [X_j, X_i], 0 else.
+
+    Its tangents are X_j at i, X_i at j and 0 elsewhere.
+    """
     if not 1 <= i < j <= n:
         raise ValueError("need 1 <= i < j <= n")
-    images = []
+    images, tangents = [], []
     for l in range(1, n + 1):
-        if l == i:
-            images.append(lie_bracket(lie_generator(n, i), lie_generator(n, j)))
-        elif l == j:
-            images.append(lie_bracket(lie_generator(n, j), lie_generator(n, i)))
-        else:
-            images.append(lie_zero(n, 2))
-    return HomDerivation(n, 1, tuple(images))
+        t = lie_generator(n, j) if l == i else lie_generator(n, i) if l == j else lie_zero(n, 1)
+        images.append(lie_bracket(lie_generator(n, l), t))
+        tangents.append(t)
+    return HomDerivation(n, 1, tuple(images), tuple(tangents))
 
 
 def tau1_sym(i: int, j: int, n: int) -> HomDerivation:
@@ -70,7 +77,7 @@ def dk_generator_pairs(n: int) -> list[tuple[int, int]]:
 
 def der_bracket_of_generators(i: int, j: int, k: int, n: int) -> HomDerivation:
     """[tau1(t_ik), tau1(t_jk)], the degree-2 derivation of a generator triple."""
-    return der_bracket(tau1_sym(i, k, n), tau1_sym(j, k, n))
+    return tangential_derivation(n, 2, der_bracket(tau1_sym(i, k, n), tau1_sym(j, k, n).tangents))
 
 
 def xi_derivation(n: int) -> HomDerivation:
@@ -83,15 +90,31 @@ def xi_derivation(n: int) -> HomDerivation:
 
 @dataclass(frozen=True)
 class DKComponent:
+    """The degree-k component, through the left-normed brackets that span it.
+
+    ``spanning`` holds the kept brackets by their tangents (t_1..t_n), each
+    t_i of degree k, labelled by ``bracket_generators``.  ``tangent_lattice``
+    is their span in tangential coordinates, those of braidlike_lattice(n,
+    k); ``rank`` reads it.  ``lattice`` is the same span in generator-image
+    coordinates, built from the spanning tangents on first read.
+    """
+
     rank_n: int
     degree: int
-    lattice: IntLattice
+    tangent_lattice: IntLattice
     bracket_generators: tuple[str, ...]
-    spanning: tuple[HomDerivation, ...]
+    spanning: tuple[tuple, ...]
 
     @property
     def rank(self) -> int:
-        return self.lattice.rank
+        return self.tangent_lattice.rank
+
+    @cached_property
+    def lattice(self) -> IntLattice:
+        n, k = self.rank_n, self.degree
+        return lattice_from_rows(
+            (der_vector(tangential_derivation(n, k, t)) for t in self.spanning), image_dim(n, k)
+        )
 
 
 def dk_rank_formula(n: int, k: int) -> int:
@@ -105,28 +128,31 @@ def dk_component(n: int, k: int) -> DKComponent:
 
     Only candidates that enlarge the lattice are kept in the spanning list,
     so the list stays an integral spanning set while the candidate count per
-    degree remains (number of generators) x (previous spanning size).
+    degree remains (number of generators) x (previous spanning size).  Each
+    candidate is eliminated by its tangent vector as soon as it is formed;
+    the tangent-to-image map is injective on tangential coordinates, so a
+    candidate enlarges this lattice exactly when it enlarges the image one.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    if k == 1:
-        candidates = [
-            (f"t({i},{j})", tau1(i, j, n)) for i, j in dk_generator_pairs(n)
-        ]
-    else:
-        prev = dk_component(n, k - 1)
-        candidates = []
-        for (i, j) in dk_generator_pairs(n):
-            g = tau1(i, j, n)
-            for lbl, d in zip(prev.bracket_generators, prev.spanning):
-                candidates.append((f"[t({i},{j}),{lbl}]", der_bracket(g, d)))
-    builder = LatticeBuilder(image_dim(n, k))
+    builder = LatticeBuilder(len(tangential_coords(n, k)))
     labels: list[str] = []
-    spanning: list[HomDerivation] = []
-    for lbl, d in candidates:
-        if builder.add(der_vector(d)):
+    spanning: list[tuple] = []
+
+    def keep(lbl, d):
+        if builder.add(tangent_vector(n, k, d)):
             labels.append(lbl)
             spanning.append(d)
+
+    if k == 1:
+        for i, j in dk_generator_pairs(n):
+            keep(f"t({i},{j})", tau1(i, j, n).tangents)
+    else:
+        prev = dk_component(n, k - 1)
+        for i, j in dk_generator_pairs(n):
+            g = tau1(i, j, n)
+            for lbl, d in zip(prev.bracket_generators, prev.spanning):
+                keep(f"[t({i},{j}),{lbl}]", der_bracket(g, d))
     return DKComponent(n, k, builder.lattice(), tuple(labels), tuple(spanning))
 
 
@@ -143,19 +169,17 @@ def check_dk_presentation(n: int) -> dict:
             for k in range(1, n + 1):
                 if k in (i, j):
                     continue
-                lhs = der_bracket(
-                    tau1_sym(i, j, n),
-                    der_add(tau1_sym(i, k, n), tau1_sym(k, j, n)),
-                )
+                rhs = map(lie_add, tau1_sym(i, k, n).tangents, tau1_sym(k, j, n).tangents)
+                lhs = der_bracket(tau1_sym(i, j, n), tuple(rhs))
                 checked += 1
-                if not lhs.is_zero():
+                if not all(t.is_zero() for t in lhs):
                     violations.append(f"[t({i},{j}), t({i},{k}) + t({k},{j})] != 0")
     for i, j in dk_generator_pairs(n):
         for k, l in dk_generator_pairs(n):
             if {i, j} & {k, l}:
                 continue
             checked += 1
-            if not der_bracket(tau1(i, j, n), tau1(k, l, n)).is_zero():
+            if not all(t.is_zero() for t in der_bracket(tau1(i, j, n), tau1(k, l, n).tangents)):
                 violations.append(f"[t({i},{j}), t({k},{l})] != 0")
     for i, j in dk_generator_pairs(n):
         checked += 1
@@ -166,22 +190,27 @@ def check_dk_presentation(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _central_sublattice(n: int, k: int) -> IntLattice:
-    """Elements of the degree-k component commuting with every generator."""
+    """Elements of the degree-k component commuting with every generator.
+
+    They are the relations among the brackets [g, d] of the spanning d with
+    the generators g, taken in tangential coordinates: the brackets have
+    degree k + 1 >= 2, where tangents determine the derivation, so these are
+    the relations among the derivations themselves.  Only the spanning
+    elements that some relation uses are moved to image coordinates.
+    """
     spanning = dk_component(n, k).spanning
-    if not spanning:
-        return zero_lattice(image_dim(n, k))
     gens = [tau1(i, j, n) for i, j in dk_generator_pairs(n)]
     brackets = [
         {
             (gi, ci): c
             for gi, g in enumerate(gens)
-            for ci, c in der_vector(der_bracket(d, g)).items()
+            for ci, c in tangent_vector(n, k + 1, der_bracket(g, d)).items()
         }
         for d in spanning
     ]
-    vectors = [der_vector(d) for d in spanning]
-    rows = (combine(x, vectors) for x in relations_among(brackets).pivot_rows.values())
-    return lattice_from_rows(rows, image_dim(n, k))
+    relations = list(relations_among(brackets).pivot_rows.values())
+    vectors = {t: der_vector(tangential_derivation(n, k, spanning[t])) for x in relations for t in x}
+    return lattice_from_rows((combine(x, vectors) for x in relations), image_dim(n, k))
 
 
 def dk_center(n: int, max_degree: int) -> dict[int, IntLattice]:

@@ -19,6 +19,7 @@ from lieforge.derivations import (
     ev_boundary,
     ev_boundary_surjective,
     image_dim,
+    tangent_vector,
     tangential_basis,
     tangential_coords,
     tangential_derivation,
@@ -33,10 +34,26 @@ from lieforge.freelie import (
     lie_bracket,
     lie_from_word,
     lie_generator,
+    lie_sub,
     lie_zero,
     lyndon_words,
     witt_rank,
 )
+
+
+def image_bracket(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
+    """Commutator in image form, X_i -> d1(d2(X_i)) - d2(d1(X_i)): the oracle
+    for der_bracket, which brackets tangents."""
+    images = tuple(
+        lie_sub(apply_derivation(d1, d2.images[i]), apply_derivation(d2, d1.images[i]))
+        for i in range(d1.rank_n)
+    )
+    return HomDerivation(d1.rank_n, d1.degree + d2.degree, images)
+
+
+def bracket(a: HomDerivation, b: HomDerivation) -> HomDerivation:
+    """der_bracket of two tangential derivations, back in image form."""
+    return tangential_derivation(a.rank_n, a.degree + b.degree, der_bracket(a, b.tangents))
 
 
 def test_apply_examples():
@@ -79,10 +96,12 @@ def test_leibniz_random():
 def test_der_bracket_examples():
     n = 4
     t12, t34 = tau1(1, 2, n), tau1(3, 4, n)
-    assert der_bracket(t12, t12).is_zero()
-    assert der_bracket(t12, t34).is_zero()
+    assert all(t.is_zero() for t in der_bracket(t12, t12.tangents))
+    assert all(t.is_zero() for t in der_bracket(t12, t34.tangents))
+    with pytest.raises(ValueError, match="tangents"):
+        der_bracket(HomDerivation(n, 1, t12.images), t34.tangents)
     n = 3
-    d = der_bracket(tau1(1, 3, n), tau1(2, 3, n))
+    d = bracket(tau1(1, 3, n), tau1(2, 3, n))
     X = [None] + [lie_generator(n, t) for t in (1, 2, 3)]
     assert d.image(1) == lie_bracket(X[1], lie_bracket(X[2], X[3]))
     assert d.image(2) == lie_bracket(X[2], lie_bracket(X[3], X[1]))
@@ -94,24 +113,48 @@ def test_der_bracket_examples():
 def tangential_combinations(draw, n=3, max_degree=2):
     """A random integer combination of a degree-k tangential basis, k <= max_degree."""
     k = draw(st.integers(1, max_degree))
-    basis = tangential_basis(n, k)
-    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
-    out = der_zero(n, k)
-    for c, d in zip(coeffs, basis):
-        out = der_add(out, der_scale(d, c))
-    return out
+    size = len(tangential_coords(n, k))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return _tangential_from_vector(n, k, coeffs)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(tangential_combinations(), tangential_combinations(), tangential_combinations())
 def test_der_bracket_jacobi(a, b, c):
     jacobi = der_add(
-        der_add(der_bracket(a, der_bracket(b, c)), der_bracket(b, der_bracket(c, a))),
-        der_bracket(c, der_bracket(a, b)),
+        der_add(bracket(a, bracket(b, c)), bracket(b, bracket(c, a))),
+        bracket(c, bracket(a, b)),
     )
     assert jacobi.degree == a.degree + b.degree + c.degree
     assert jacobi.is_zero()
-    assert der_add(der_bracket(a, b), der_bracket(b, a)).is_zero()
+    assert der_add(bracket(a, b), bracket(b, a)).is_zero()
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    st.sampled_from((3, 4)).flatmap(
+        lambda n: st.tuples(tangential_combinations(n, 3), tangential_combinations(n, 3))
+    )
+)
+def test_der_bracket_matches_image_oracle(pair):
+    a, b = pair
+    assert bracket(a, b) == image_bracket(a, b)
+
+
+def test_tangent_vector_indexes_tangential_coords():
+    for n in range(2, 6):
+        for k in range(1, 5):
+            for idx, (i, u) in enumerate(tangential_coords(n, k)):
+                tangents = tuple(
+                    lie_from_word(n, u, 3) if t == i else lie_zero(n, k) for t in range(1, n + 1)
+                )
+                assert tangent_vector(n, k, tangents) == {idx: 3}, (n, k, i, u)
+    n = 3
+    diagonal = (lie_zero(n, 1), lie_generator(n, 2), lie_zero(n, 1))
+    with pytest.raises(ValueError):
+        tangent_vector(n, 1, diagonal)
+    with pytest.raises(ValueError):
+        tangent_vector(n, 2, (lie_zero(n, 2),) * 2)
 
 
 def test_ev_boundary_examples():
@@ -181,10 +224,10 @@ def test_ad_boundary_central_among_braidlike():
             ad_b = ad_derivation(bnd)
             for tv in braidlike_lattice(n, k).basis.entries:
                 d = _tangential_from_vector(n, k, tv)
-                assert der_bracket(d, ad_b).is_zero()
+                assert all(t.is_zero() for t in der_bracket(d, ad_b.tangents))
                 for w in lyndon_words(n, 2):
                     x = lie_from_word(n, w)
-                    got = der_bracket(d, ad_derivation(x))
+                    got = bracket(d, ad_derivation(x))
                     dx = apply_derivation(d, x)
                     want = der_zero(n, k + 2) if dx.is_zero() else ad_derivation(dx)
                     assert got == want
@@ -211,7 +254,7 @@ def der_from_vector(n: int, k: int, vec: dict) -> HomDerivation:
 
 def test_vector_roundtrip():
     n, k = 3, 2
-    d = der_bracket(tau1(1, 2, n), tau1(1, 3, n))
+    d = bracket(tau1(1, 2, n), tau1(1, 3, n))
     vec = der_vector(d)
     assert all(0 <= j < image_dim(n, k) for j in vec)
     assert der_from_vector(n, k, vec) == d
@@ -223,7 +266,7 @@ def test_der_arithmetic():
     assert der_add(der_add(a, b), der_scale(b, -1)) == a
     assert der_scale(a, 0) == der_zero(n, 1)
     with pytest.raises(ValueError):
-        der_add(a, der_bracket(a, b))
+        der_add(a, bracket(a, b))
     with pytest.raises(ValueError, match="wrong degree"):
         HomDerivation(n, 1, (lie_zero(n, 3),) + a.images[1:])
 

@@ -1,22 +1,27 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from lieforge.derivations import (
     ad_derivation,
     braidlike_image_lattice,
+    braidlike_lattice,
     der_scale,
     der_vector,
     ev_boundary,
     image_dim,
+    tangential_derivation,
 )
 from lieforge.dk import (
     FaulhaberPoly,
+    _central_sublattice,
     bernoulli,
     check_dk_presentation,
     cokernel_census,
     dk_center,
     dk_component,
+    dk_generator_pairs,
     dk_rank_closed_form_deg3,
     dk_rank_formula,
     dk_star_center,
@@ -28,7 +33,52 @@ from lieforge.dk import (
     xi_derivation,
 )
 from lieforge.freelie import boundary_element, lie_bracket, lie_generator
-from lieforge.zlattice import lattice_from_rows, lattice_member
+from lieforge.zlattice import (
+    LatticeBuilder,
+    combine,
+    lattice_from_rows,
+    lattice_member,
+    relations_among,
+)
+from test_derivations import image_bracket
+
+
+@lru_cache(maxsize=None)
+def greedy_image_component(n, k):
+    """The greedy builder in generator-image coordinates, the oracle for
+    dk_component: image-form brackets, eliminated by der_vector.
+
+    Returns (lattice, labels, spanning derivations).
+    """
+    if k == 1:
+        candidates = [(f"t({i},{j})", tau1(i, j, n)) for i, j in dk_generator_pairs(n)]
+    else:
+        _, prev_labels, prev_spanning = greedy_image_component(n, k - 1)
+        candidates = [
+            (f"[t({i},{j}),{lbl}]", image_bracket(tau1(i, j, n), d))
+            for i, j in dk_generator_pairs(n)
+            for lbl, d in zip(prev_labels, prev_spanning)
+        ]
+    builder = LatticeBuilder(image_dim(n, k))
+    kept = [(lbl, d) for lbl, d in candidates if builder.add(der_vector(d))]
+    return builder.lattice(), tuple(lbl for lbl, _ in kept), tuple(d for _, d in kept)
+
+
+def image_central_sublattice(n, k):
+    """The degree-k center from image-form brackets of the oracle's spanning list."""
+    spanning = greedy_image_component(n, k)[2]
+    gens = [tau1(i, j, n) for i, j in dk_generator_pairs(n)]
+    brackets = [
+        {
+            (gi, ci): c
+            for gi, g in enumerate(gens)
+            for ci, c in der_vector(image_bracket(d, g)).items()
+        }
+        for d in spanning
+    ]
+    vectors = [der_vector(d) for d in spanning]
+    rows = (combine(x, vectors) for x in relations_among(brackets).pivot_rows.values())
+    return lattice_from_rows(rows, image_dim(n, k))
 
 
 def test_tau1_table():
@@ -93,6 +143,31 @@ def test_dk_equals_braidlike_in_low_degrees():
 def test_dk_strict_in_degree_three():
     for n in (3, 4):
         assert dk_component(n, 3).rank < braidlike_image_lattice(n, 3).rank
+
+
+def test_dk_component_matches_image_oracle():
+    for n, top in ((4, 5), (5, 4)):
+        for k in range(1, top + 1):
+            comp = dk_component(n, k)
+            lattice, labels, spanning = greedy_image_component(n, k)
+            assert comp.bracket_generators == labels, (n, k)
+            assert len(comp.spanning) == len(spanning) == comp.rank, (n, k)
+            assert comp.lattice == lattice, (n, k)
+            for tangents, d in zip(comp.spanning, spanning):
+                assert tangential_derivation(n, k, tangents) == d
+
+
+def test_dk_tangent_rows_lie_in_braidlike_lattice():
+    # both lattices are in tangential coordinates: no image round trip
+    for n in range(2, 6):
+        for k in range(1, 6):
+            bl = braidlike_lattice(n, k)
+            comp = dk_component(n, k)
+            assert comp.tangent_lattice.ambient_dim == bl.ambient_dim
+            for row in comp.tangent_lattice.pivot_rows.values():
+                assert lattice_member(row, bl), (n, k)
+            if k <= 2:
+                assert comp.tangent_lattice == bl, (n, k)
 
 
 def test_bracket_generator_labels():
@@ -175,9 +250,13 @@ def test_faulhaber_poly_structure():
     assert p.coefficients[0] == Fraction(1, 3)
 
 
-def test_central_sublattice_cache():
-    from lieforge.dk import _central_sublattice
+def test_central_sublattice_matches_image_oracle():
+    for n, top in ((4, 4), (5, 3)):
+        for k in range(1, top + 1):
+            assert _central_sublattice.__wrapped__(n, k) == image_central_sublattice(n, k), (n, k)
 
+
+def test_central_sublattice_cache():
     for n in range(3, 6):
         for k in range(1, 4):
             cached = _central_sublattice(n, k)

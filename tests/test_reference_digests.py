@@ -1,10 +1,10 @@
 """Replay ops of the benchmark's reference table through the CLI.
 
 perfbench/reference.json records the stdout sha256 of every op the
-benchmark can run.  Its toy ops, and at full size the heavy and light
-query-mix ops and the johnson-series ops, are small enough for the unit
-suite, so each one must still print byte-identical output.  The file is
-only read.
+benchmark can run.  Its toy ops, and at full size the lie-lattice ops, the
+heavy and light query-mix ops and the johnson-series ops, are small enough
+for the unit suite, so each one must still print byte-identical output.
+The file is only read.
 """
 
 import contextlib
@@ -68,6 +68,24 @@ def test_full_heavy_reference_digest_cold_then_warm(op):
     _clear_lieforge_caches()
     for _ in ("cold", "warm"):
         assert _digest(op) == (0, HEAVY[op])
+
+
+# the lie-lattice ops: ranks of the braid Lie ring and of the braid-like
+# derivations at their full benchmark size
+LIE_LATTICE = {op: d for op, d in FULL.items() if op.startswith("ranks ")}
+
+
+def test_lie_lattice_ops_are_selected():
+    assert sorted(LIE_LATTICE) == [
+        "ranks --object der-t-boundary --n 5 --max-degree 6",
+        "ranks --object dk --n 5 --max-degree 5",
+    ]
+
+
+@pytest.mark.parametrize("op", sorted(LIE_LATTICE))
+def test_full_lie_lattice_reference_digest_cold(op):
+    _clear_lieforge_caches()
+    assert _digest(op) == (0, LIE_LATTICE[op])
 
 
 def test_light_and_johnson_ops_are_selected():

@@ -441,11 +441,21 @@ def test_rank_leaves_the_dense_basis_unbuilt(monkeypatch):
 
     for k in range(1, 5):
         bl = braidlike_lattice.__wrapped__(4, k)
-        dk = dk_component.__wrapped__(4, k).lattice
+        comp = dk_component.__wrapped__(4, k)
+        dk = comp.tangent_lattice
         assert (bl.rank, dk.rank) == (braidlike_rank_formula(4, k), dk_rank_formula(4, k))
-        assert unbuilt(bl) and unbuilt(dk)
+        assert unbuilt(bl) and unbuilt(dk) and "lattice" not in vars(comp)
+    # a fresh component cache, so the commands below build every component
+    # they use; none of them may build the image-coordinate lattice
+    components = lru_cache(maxsize=None)(dk_module.dk_component.__wrapped__)
+    monkeypatch.setattr(dk_module, "dk_component", components)
     for obj in ("dk", "der-t-boundary"):
         assert cli.main(["ranks", "--object", obj, "--n", "4", "--max-degree", "4"]) == 0
+    assert cli.main(["census", "--n-range", "3..5", "--degree", "3"]) == 0
+    built = components.cache_info().misses
+    cells = [(4, 4)] + [(n, k) for n in (3, 4, 5) for k in (1, 2, 3)]
+    assert all("lattice" not in vars(components(n, k)) for n, k in cells)
+    assert components.cache_info().misses == built
     # a fresh cache, so the centers are computed here and not read from
     # lattices another caller may have printed
     fresh = lru_cache(maxsize=None)(dk_module._central_sublattice.__wrapped__)
