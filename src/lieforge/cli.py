@@ -3,7 +3,9 @@
 Subcommands: witt, ranks, census, center, degree, expand, verify.  All output
 is machine readable (json or tsv), all numbers exact, and identical argv plus
 seed produce byte-identical stdout.  Exit codes: 0 success, 1 a binding check
-or verification failed, 2 usage error.
+or verification failed, 2 usage error, 3 internal error (a cross-check between
+two routes of one computation disagreed, a bug in lieforge rather than a
+mathematical finding; the message goes to stderr as "internal error: ...").
 
 The argument parser is built once per process, on the first call of main,
 and reused by later calls, so a caller that runs many queries in one process
@@ -357,6 +359,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -207,9 +207,10 @@ def lie_class(w: ReducedWord, d: int) -> LieElement:
     return word_read_off(w, d).lie_class()
 
 
-def _slice_class(s: TruncSeries, k: int) -> LieElement:
-    """The degree-k slice of s as a Lie element, in Lyndon coordinates."""
-    return LieElement(s.rank_n, k, tensor_to_lyndon(s.rank_n, s.parts[k]))
+def _slice_class(s: TruncSeries, k: int, peel=tensor_to_lyndon) -> LieElement:
+    """The degree-k slice of s as a Lie element, in Lyndon coordinates read by
+    peel (the full, checking tensor_to_lyndon unless a caller screens)."""
+    return LieElement(s.rank_n, k, peel(s.rank_n, s.parts[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,22 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 # the last step a o v of a commutator a b a^-1 b^-1, v = b a^-1 b^-1,
 # is 1 + X_i + A(v_i - a_inv_i): only the difference of v from a^-1, which
 # is sparse when b is IA, is substituted (series_endo_commutator).
+#
+# Inner automorphisms need no table arithmetic at all.  inn(w) is carried by
+# the expansion pair (mu(w), mu(w)^-1) of its word, and inner_series_endo
+# builds its table from that pair.  Inn(F_n) is normal, so a commutator with
+# an inner factor is inner, with a conjugating word in closed form:
+#   [a, inn(v)] = inn(a(v) v^-1)  and  [inn(x), b] = inn(x b(x)^-1).
+# Its pair is pair_quotient of two pairs: for the first identity, the pair
+# of a(v) (pair_conjugate when a = inn(x) itself, products only; otherwise
+# one series_substitute of mu(v) by a and one series_inverse) and v's; for
+# the second, x's and the pair of b(x) (series_word_image, b's images along
+# x, and one series_inverse).  This is one series where the general
+# commutator substitutes whole tables three times.  The Johnson layers
+# (suites._johnson_layer) build every candidate with an inner factor this
+# way and the rest with series_endo_commutator; their randomized samples
+# keep series_endo_commutator throughout, so the two routes check each other
+# on every run.
 
 
 @dataclass
@@ -390,15 +407,16 @@ def series_inverse(s: TruncSeries) -> TruncSeries:
     return TruncSeries(n, d, out)
 
 
-def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
+def inner_series_endo(mu: TruncSeries, mu_inv: TruncSeries | None = None) -> SeriesEndo:
     """Series table of conjugation by a word w, from its expansion mu = mu(w).
 
     mu (1 + X_i) mu^-1 = 1 + (mu X_i) mu^-1, so only the product of mu X_i
     (each monomial of mu with room for it, followed by X_i) with mu^-1 is
-    formed.
+    formed.  mu_inv, when given, must be mu^-1 below the cutoff; otherwise it
+    is built here.
     """
     n, d = mu.rank_n, mu.max_degree
-    mu_inv = _by_degree(series_inverse(mu).parts)
+    mu_inv = _by_degree((series_inverse(mu) if mu_inv is None else mu_inv).parts)
     images = []
     for i in range(1, n + 1):
         mu_xi = [{}] + [{m + (i,): c for m, c in part.items()} for part in mu.parts[:d]]
@@ -406,6 +424,42 @@ def inner_series_endo(mu: TruncSeries) -> SeriesEndo:
         parts[0] = {(): 1}
         images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
+
+
+def series_word_image(se: SeriesEndo, w: ReducedWord) -> TruncSeries:
+    """mu(phi(w)) for the automorphism phi with series table se: the product
+    of its images along w's letters, an image inverted for a negative one."""
+    n, d = se.rank_n, se.max_degree
+    if w.rank_n != n:
+        raise ValueError("word rank mismatch")
+    parts = _unit_parts(d)
+    for g, e in w.letters:
+        image = se.images[g - 1] if e > 0 else series_inverse(se.images[g - 1])
+        factor = _by_degree(image.parts)
+        for _ in range(abs(e)):
+            parts = _truncated_product(parts, factor, d)
+    return TruncSeries(n, d, parts)
+
+
+def series_substitute(
+    a: SeriesEndo, s: TruncSeries, sub: SeriesSubstitution | None = None
+) -> TruncSeries:
+    """mu(a(w)) from s = mu(w): one substitution X_j -> S_j - 1 of a's images
+    into s (by sub when given, a SeriesSubstitution of a)."""
+    if (a.rank_n, a.max_degree) != (s.rank_n, s.max_degree):
+        raise ValueError("series mismatch")
+    return TruncSeries(s.rank_n, s.max_degree, _substitute(_substitution_for(a, sub), s.parts))
+
+
+def pair_quotient(p: tuple, q: tuple) -> tuple:
+    """Expansion pair of p q^-1 from the pairs (mu(p), mu(p)^-1), (mu(q), mu(q)^-1)."""
+    return series_mul(p[0], q[1]), series_mul(q[0], p[1])
+
+
+def pair_conjugate(w: tuple, u: tuple) -> tuple:
+    """Expansion pair of w u w^-1, the image of u under inn(w), from the pairs
+    of w and u: products only, no series inverse."""
+    return series_mul(series_mul(w[0], u[0]), w[1]), series_mul(series_mul(w[0], u[1]), w[1])
 
 
 class NonIAError(ValueError):
@@ -420,12 +474,16 @@ class SeriesReadOff(NamedTuple):
     degree: Degree
     displacements: tuple[TruncSeries, ...]
 
-    def johnson_image(self) -> HomDerivation:
-        """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = self.degree."""
+    def johnson_image(self, peel=tensor_to_lyndon) -> HomDerivation:
+        """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = self.degree.
+
+        peel reads each slice's Lyndon coordinates; the default
+        tensor_to_lyndon also checks that the slice is a Lie element.
+        """
         j = self.degree
         if isinstance(j, AboveCutoff):
             raise ValueError("automorphism has no finite degree below the cutoff")
-        images = tuple(_slice_class(disp, j + 1) for disp in self.displacements)
+        images = tuple(_slice_class(disp, j + 1, peel) for disp in self.displacements)
         return HomDerivation(self.rank_n, j, images)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .braids import (
+    AutWord,
     aut_commutator,
     aut_mul,
     aut_word,
@@ -37,22 +38,31 @@ from .freelie import (
     centralizer_of_linear,
     lie_bracket,
     lie_generator,
+    lyndon_peel,
     witt_rank,
 )
 from .magnus import (
     AboveCutoff,
     SeriesSubstitution,
+    TruncSeries,
     endo_to_series,
     inner_series_endo,
     johnson_image,
+    magnus_expand,
+    pair_conjugate,
+    pair_quotient,
     same_degree,
     series_a_degree,
     series_endo_commutator,
     series_endo_truncate,
+    series_inverse,
     series_read_off,
+    series_substitute,
+    series_word_image,
     word_read_off,
 )
 from .words import (
+    ReducedWord,
     endo_compose,
     endo_equal,
     endo_identity,
@@ -61,6 +71,7 @@ from .words import (
     word_from_pairs,
     word_gen,
     word_identity,
+    word_inverse,
     word_mul,
 )
 from .zlattice import (
@@ -257,6 +268,62 @@ def _generator_series(family: str, n: int, d: int):
     )
 
 
+def _conjugating_word(g: AutWord) -> ReducedWord | None:
+    """The word w with g = inn(w), read off g's symbols when every one is
+    inner (the leftmost acts last, so inn(u) inn(v) = inn(uv)); else None."""
+    w = word_identity(g.rank_n)
+    for sym, sign in g.symbols:
+        if sym.kind != "inner":
+            return None
+        w = word_mul(w, sym.word if sign > 0 else word_inverse(sym.word))
+    return w
+
+
+class _Tail(tuple):
+    """A kept commutator below the top layer: (series table, inverse series
+    table).  An inner one, inn(v), also carries the expansion pair
+    (mu(v), mu(v)^-1) as conjugator, and the next layer brackets by it;
+    for any other, conjugator is None."""
+
+    def __new__(cls, table, inverse, conjugator=None):
+        tail = super().__new__(cls, (table, inverse))
+        tail.conjugator = conjugator
+        return tail
+
+
+def _truncate_pair(pair, d: int):
+    """An expansion pair truncated beyond degree d, sharing the kept parts;
+    None for None."""
+    if pair is None:
+        return None
+    return tuple(TruncSeries(s.rank_n, d, s.parts[: d + 1]) for s in pair)
+
+
+def _inner_conjugator(g, x, x_pair, c, g_sub):
+    """Expansion pair of the conjugating word of the commutator [g, c] when c
+    is an inner tail inn(v) or g = inn(x), else None.
+
+    g is a generator's (table, inverse), x its conjugating word or None and
+    x_pair the expansion pair of x; c is a _Tail, all at one cutoff.  g_sub,
+    a SeriesSubstitution of g's table or None, is used only when g is not
+    inner and c is.
+    """
+    if c.conjugator is not None:
+        # [g, inn(v)] = inn(g(v) v^-1)
+        v = c.conjugator
+        if x is not None:
+            gv = pair_conjugate(x_pair, v)
+        else:
+            gv = series_substitute(g[0], v[0], g_sub)
+            gv = gv, series_inverse(gv)
+        return pair_quotient(gv, v)
+    if x is not None:
+        # [inn(x), c] = inn(x c(x)^-1)
+        cx = series_word_image(c[0], x)
+        return pair_quotient(x_pair, (cx, series_inverse(cx)))
+    return None
+
+
 @lru_cache(maxsize=None)
 def _johnson_layer(family: str, n: int, k: int, max_degree: int):
     """Degree-k Johnson-image lattice of weight-k left-normed commutators.
@@ -268,57 +335,98 @@ def _johnson_layer(family: str, n: int, k: int, max_degree: int):
     bracketing the generators against them spans degree k; candidate counts
     stay at (number of generators) x (previous spanning size).
 
+    Inn(F_n) is normal, so a commutator with an inner factor is inner:
+    [g, inn(v)] = inn(g(v) v^-1) and [inn(x), c] = inn(x c(x)^-1).  A
+    generator is inner when all its symbols are (x is read off them, never
+    assumed from the family), and an inner tail carries the expansion pair
+    (mu(v), mu(v)^-1) of its word (_Tail.conjugator).  A candidate with an
+    inner tail takes the first identity: g(v) is v conjugated by x when g is
+    inner too, else one substitution of mu(v) by g's held substitution and
+    one series inverse.  One with an inner generator and a non-inner tail
+    takes the second: mu(c(x)) is read off c's images along x, and inverted
+    once.  Either way the candidate is inner_series_endo of the pair (see
+    _inner_conjugator).  Candidates with no inner factor are composed by
+    series_endo_commutator, and so is every randomized sample of
+    verify_johnson_injectivity, so each run checks the two routes against
+    each other.
+
     A candidate is screened at cutoff k+1: its degree test and Johnson image
     read only degrees <= k+1, and composition commutes with truncation, so
-    it is composed from the generator tables and tails truncated to k+1
-    (each tail once per layer).  A kept candidate becomes a tail, so below
-    the top layer it is rebuilt at the full cutoff max_degree+1, checked to
-    truncate to its screened table, and its inverse is built there; at
-    k == max_degree the screen cutoff is the full cutoff.
+    it is built from the generator tables, conjugator pairs and tails
+    truncated to k+1 (each tail once per layer).  The screen reads its image
+    with lyndon_peel, which subtracts only the Lyndon-word part of each P_w;
+    a candidate that enlarges the lattice is read again with the full
+    tensor_to_lyndon, which also checks that every slice is a Lie element,
+    and the two must agree.  A kept candidate becomes a tail, so below the
+    top layer it is rebuilt by the same route at the full cutoff
+    max_degree+1, checked to truncate to its screened table, and its inverse
+    is built there; at k == max_degree the screen cutoff is the full cutoff.
+    A disagreement in either check raises RuntimeError.
 
     Returns (lattice, spanning tails as (series, inverse series), scanned).
     A tail's inverse is only read when the next layer brackets against it,
     so it is built for kept tails only, and top-layer tails (k == max_degree)
-    carry None in its place.
+    carry None in its place and no conjugator.
     """
     top, cut = max_degree + 1, k + 1
     gen_series = _generator_series(family, n, top)
+    words = [_conjugating_word(g) for g in family_generators(family, n)]
     builder = LatticeBuilder(image_dim(n, k))
     tails = []
     prev_tails = (None,) if k == 1 else _johnson_layer(family, n, k - 1, max_degree)[1]
     screen_tails = [
-        None if c is None else tuple(series_endo_truncate(t, cut) for t in c) for c in prev_tails
+        None
+        if c is None
+        else _Tail(*(series_endo_truncate(t, cut) for t in c), _truncate_pair(c.conjugator, cut))
+        for c in prev_tails
     ]
-    for idx, g in enumerate(gen_series, start=1):
+    for idx, (g, x) in enumerate(zip(gen_series, words), start=1):
         g_cut = tuple(series_endo_truncate(t, cut) for t in g)
+        x_pair = None if x is None else (magnus_expand(x, top), magnus_expand(word_inverse(x), top))
+        x_cut = _truncate_pair(x_pair, cut)
         # substitutions of g and g^-1 serve g's whole run of candidates and
-        # are dropped when the run ends
-        subs = SeriesSubstitution(g_cut[0]), SeriesSubstitution(g_cut[1])
-        full_subs = subs if cut == top else (SeriesSubstitution(g[0]), SeriesSubstitution(g[1]))
+        # are dropped when the run ends; an inner g builds every candidate
+        # by the inner route, which substitutes by neither
+        if x is None:
+            subs = SeriesSubstitution(g_cut[0]), SeriesSubstitution(g_cut[1])
+            full_subs = subs if cut == top else (SeriesSubstitution(g[0]), SeriesSubstitution(g[1]))
+        else:
+            subs = full_subs = None, None
         for c, c_cut in zip(prev_tails, screen_tails):
             if c is None:
                 se = g_cut[0]
+            elif (pair := _inner_conjugator(g_cut, x, x_cut, c_cut, subs[0])) is not None:
+                se = inner_series_endo(*pair)
             else:
                 se = series_endo_commutator(*g_cut, *c_cut, a_sub=subs[0], a_inv_sub=subs[1])
             ro = series_read_off(se)
             if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
                 continue
-            if not builder.add(der_vector(ro.johnson_image())):
+            screened = der_vector(ro.johnson_image(lyndon_peel))
+            if not builder.add(screened):
                 continue
+            if der_vector(ro.johnson_image()) != screened:
+                raise RuntimeError(
+                    f"{family} Johnson layer {k}: the Lyndon-word peel of the kept "
+                    f"commutator with generator {idx} disagrees with the full peel"
+                )
             if k == max_degree:
                 tails.append((se, None))
                 continue
             if c is None:
-                full, full_inv = g
+                full, full_inv, pair = *g, x_pair
+            elif (pair := _inner_conjugator(g, x, x_pair, c, full_subs[0])) is not None:
+                full, full_inv = inner_series_endo(*pair), inner_series_endo(*reversed(pair))
             else:
-                full = series_endo_commutator(*g, *c, a_sub=full_subs[0], a_inv_sub=full_subs[1])
-                full_inv = series_endo_commutator(*c, *g, b_sub=full_subs[0])
+                a_sub, a_inv_sub = full_subs
+                full = series_endo_commutator(*g, *c, a_sub=a_sub, a_inv_sub=a_inv_sub)
+                full_inv = series_endo_commutator(*c, *g, b_sub=a_sub)
             if series_endo_truncate(full, cut) != se:
                 raise RuntimeError(
                     f"{family} Johnson layer {k}: the kept commutator with generator "
                     f"{idx} does not truncate to its screened table"
                 )
-            tails.append((full, full_inv))
+            tails.append(_Tail(full, full_inv, pair))
     return builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
 
 

@@ -162,6 +162,38 @@ def test_removed_jobs_flag_is_rejected(capsys):
     assert code == 2
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from lieforge import suites
+    from lieforge.magnus import SeriesEndo, TruncSeries
+
+    suites._johnson_layer.cache_clear()
+    generators = [t for g in suites._generator_series("Pn", 3, 5) for t in g]
+    truncate = suites.series_endo_truncate
+
+    def corrupted(se, d):
+        # generator tables truncate as before; a kept commutator rebuilt at
+        # the full cutoff gains a term in its truncation
+        out = truncate(se, d)
+        if any(se is t for t in generators):
+            return out
+        parts = [dict(p) for p in out.images[0].parts]
+        parts[d][(1,) * d] = parts[d].get((1,) * d, 0) + 1
+        parts[d] = {m: c for m, c in parts[d].items() if c}
+        return SeriesEndo(out.rank_n, d, (TruncSeries(out.rank_n, d, parts), *out.images[1:]))
+
+    monkeypatch.setattr(suites, "series_endo_truncate", corrupted)
+    try:
+        code, out, err = run_cli(
+            capsys, "verify", "johnson", "--family", "Pn", "--n", "3", "--max-degree", "4"
+        )
+    finally:
+        suites._johnson_layer.cache_clear()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: Pn Johnson layer 2: the kept commutator")
+    assert "Traceback" not in err
+
+
 def test_parse_aut_expr():
     w = parse_aut_expr(3, "A(1,2).s1^-1.inn(x1 x2).C(2)^-1.xi")
     table = evaluate(w)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforge.suites import (
     SuiteReport,
@@ -197,8 +198,13 @@ def _full_cutoff_layers(family, n, top):
     return layers
 
 
-@pytest.mark.parametrize("n, top", [(3, 4), (4, 3)])
-@pytest.mark.parametrize("family", ["Inn", "Pn", "FnPn"])
+# FnPn at (3, 5) and (4, 4) carries inner tails of degree 3 and above
+# through the inner route's full-cutoff rebuild
+@pytest.mark.parametrize(
+    "family, n, top",
+    [(f, n, top) for f in ("Inn", "Pn", "FnPn") for n, top in ((3, 4), (4, 3))]
+    + [("FnPn", 3, 5), ("FnPn", 4, 4)],
+)
 def test_johnson_layer_screen_matches_full_cutoff(family, n, top):
     from lieforge.suites import _johnson_layer
 
@@ -240,6 +246,108 @@ def test_johnson_layer_screen_mismatch_is_an_internal_error(monkeypatch):
             suites._johnson_layer(family, n, k, top)
     finally:
         suites._johnson_layer.cache_clear()
+
+
+def test_johnson_layer_peel_mismatch_is_an_internal_error(monkeypatch):
+    from lieforge import suites
+    from lieforge.freelie import lyndon_peel
+
+    def doubled(n, tensor):
+        # every screened coordinate is off by a factor of two, so the first
+        # kept candidate disagrees with its full peel
+        return {p: 2 * c for p, c in lyndon_peel(n, tensor).items()}
+
+    suites._johnson_layer.cache_clear()
+    monkeypatch.setattr(suites, "lyndon_peel", doubled)
+    try:
+        with pytest.raises(RuntimeError, match=r"FnPn Johnson layer 1: the Lyndon-word peel"):
+            suites._johnson_layer("FnPn", 3, 1, 3)
+    finally:
+        suites._johnson_layer.cache_clear()
+
+
+def test_conjugating_word_is_read_off_inner_symbols():
+    from lieforge.braids import aut_mul, aut_word, family_generators, inner_word, sym_a
+    from lieforge.suites import _conjugating_word
+    from lieforge.words import parse_word
+
+    n = 3
+    u, v = parse_word(n, "x1 x2^-1"), parse_word(n, "x3^2")
+    assert _conjugating_word(inner_word(u)) == u
+    assert _conjugating_word(inner_word(u).inverse()) == parse_word(n, "x2 x1^-1")
+    uv = aut_mul(inner_word(u), inner_word(v))
+    assert _conjugating_word(uv) == parse_word(n, "x1 x2^-1 x3^2")
+    assert _conjugating_word(aut_mul(inner_word(u), aut_word(n, sym_a(1, 2)))) is None
+    words = [_conjugating_word(g) for g in family_generators("FnPn", n)]
+    assert words == [parse_word(n, f"x{i}") for i in range(1, n + 1)] + [None] * 3
+
+
+@st.composite
+def inner_commutator_cases(draw):
+    """(n, cutoff, text of a, x, w, shape): a is a product of A(i,j)^+-1, C(j)^+-1
+    and inner symbols, x and w words, shape the commutator to build."""
+    n = draw(st.integers(2, 4))
+    letters = st.tuples(st.integers(1, n), st.sampled_from([-2, -1, 1, 2]))
+    word = st.lists(letters, max_size=3).map(
+        lambda ps: " ".join(f"x{g}^{e}" for g, e in ps) or "1"
+    )
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])
+    symbol = st.one_of(
+        pair.map(lambda p: f"A({p[0]},{p[1]})"),
+        st.integers(1, n - 1).map(lambda j: f"C({j})"),
+        word.map(lambda w: f"inn({w})"),
+    )
+    factors = st.lists(st.tuples(symbol, st.booleans()), min_size=1, max_size=3)
+    a = ".".join(sym + ("^-1" if inv else "") for sym, inv in draw(factors))
+    shape = draw(st.sampled_from(("[a,inn(w)]", "[inn(x),a]", "[inn(x),inn(w)]")))
+    return n, draw(st.integers(3, 6)), a, draw(word), draw(word), shape, draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(inner_commutator_cases())
+def test_inner_route_matches_general_commutator(case):
+    from lieforge.braids import evaluate
+    from lieforge.cli import parse_aut_expr
+    from lieforge.magnus import (
+        SeriesSubstitution,
+        endo_to_series,
+        inner_series_endo,
+        magnus_expand,
+        series_endo_commutator,
+        series_mul,
+    )
+    from lieforge.suites import _inner_conjugator, _Tail
+    from lieforge.words import endo_inner, parse_word, word_inverse
+
+    n, d, a_text, x_text, w_text, shape, held = case
+    a_word = parse_aut_expr(n, a_text)
+    a = endo_to_series(evaluate(a_word), d), endo_to_series(evaluate(a_word.inverse()), d)
+    x, w = parse_word(n, x_text), parse_word(n, w_text)
+
+    def inner(u):
+        tables = tuple(endo_to_series(endo_inner(t), d) for t in (u, word_inverse(u)))
+        return tables, tuple(magnus_expand(t, d) for t in (u, word_inverse(u)))
+
+    if shape == "[a,inn(w)]":
+        g, x, x_pair = a, None, None
+        c, w_pair = inner(w)
+        c = _Tail(*c, w_pair)
+    else:
+        g, x_pair = inner(x)
+        c = _Tail(*a) if shape == "[inn(x),a]" else _Tail(*inner(w)[0], inner(w)[1])
+    g_sub = SeriesSubstitution(g[0]) if held else None
+    mu, mu_inv = _inner_conjugator(g, x, x_pair, c, g_sub)
+    assert series_mul(mu, mu_inv).coeffs == {(): 1}
+    want = series_endo_commutator(*g, *c)
+    assert inner_series_endo(mu, mu_inv).images == want.images, case
+    assert inner_series_endo(mu).images == want.images, case
+
+
+def test_inner_route_needs_an_inner_factor():
+    from lieforge.suites import _generator_series, _inner_conjugator, _Tail
+
+    a, b = _generator_series("Pn", 3, 4)[:2]
+    assert _inner_conjugator(a, None, None, _Tail(*b), None) is None
 
 
 def test_random_commutator_inverse_is_built_on_request():
