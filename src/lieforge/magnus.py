@@ -254,10 +254,11 @@ def _slice_class(s: TruncSeries, k: int, peel=tensor_to_lyndon) -> LieElement:
 # the second, x's and the pair of b(x) (series_word_image, b's images along
 # x, and one series_inverse).  This is one series where the general
 # commutator substitutes whole tables three times.  The Johnson layers
-# (suites._johnson_layer) build every candidate with an inner factor this
-# way and the rest with series_endo_commutator; their randomized samples
-# keep series_endo_commutator throughout, so the two routes check each other
-# on every run.
+# (suites._johnson_layers) build every candidate with an inner factor this
+# way and the rest with series_endo_commutator, and carry a kept inner one
+# to the next layer by its pair alone (the top layer's are carried nowhere:
+# nothing brackets against them).  Their randomized samples keep
+# series_endo_commutator, so the two routes check each other on every run.
 
 
 @dataclass

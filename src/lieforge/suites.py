@@ -280,15 +280,21 @@ def _conjugating_word(g: AutWord) -> ReducedWord | None:
 
 
 class _Tail(tuple):
-    """A kept commutator below the top layer: (series table, inverse series
-    table).  An inner one, inn(v), also carries the expansion pair
-    (mu(v), mu(v)^-1) as conjugator, and the next layer brackets by it;
-    for any other, conjugator is None."""
+    """A kept commutator below the top layer, holding only what the next
+    layer brackets by: an inner one, inn(v), its expansion pair
+    (mu(v), mu(v)^-1) as conjugator and None for both tables; any other its
+    (series table, inverse series table) and None as conjugator."""
 
     def __new__(cls, table, inverse, conjugator=None):
         tail = super().__new__(cls, (table, inverse))
         tail.conjugator = conjugator
         return tail
+
+    def truncate(self, d: int):
+        """This tail truncated beyond degree d, sharing the kept parts."""
+        if self.conjugator is not None:
+            return _Tail(None, None, _truncate_pair(self.conjugator, d))
+        return _Tail(*(series_endo_truncate(t, d) for t in self))
 
 
 def _truncate_pair(pair, d: int):
@@ -324,31 +330,27 @@ def _inner_conjugator(g, x, x_pair, c, g_sub):
     return None
 
 
-@lru_cache(maxsize=None)
-def _johnson_layer(family: str, n: int, k: int, max_degree: int):
-    """Degree-k Johnson-image lattice of weight-k left-normed commutators.
+def _johnson_layers(family: str, n: int, max_degree: int):
+    """Degree-k Johnson-image lattices of weight-k left-normed commutators,
+    yielded as (lattice, tails, scanned) for k = 1..max_degree.
 
     Commutators are composed as truncated series tables (word-level normal
     forms of nested braid commutators grow exponentially, their expansions
-    below the cutoff do not).  Tails kept from degree k-1 are exactly the
-    commutators whose image enlarged that lattice, so they span it over Z and
-    bracketing the generators against them spans degree k; candidate counts
-    stay at (number of generators) x (previous spanning size).
+    below the cutoff do not).  The degree-k tails are the commutators whose
+    image enlarged the lattice, so they span it over Z and bracketing the
+    generators against them spans degree k+1: scanned, the candidate count,
+    is (number of generators) x (previous spanning size).  Only the previous
+    layer's tails are held; the top layer (k == max_degree) yields none,
+    since no layer brackets against it.
 
-    Inn(F_n) is normal, so a commutator with an inner factor is inner:
-    [g, inn(v)] = inn(g(v) v^-1) and [inn(x), c] = inn(x c(x)^-1).  A
-    generator is inner when all its symbols are (x is read off them, never
-    assumed from the family), and an inner tail carries the expansion pair
-    (mu(v), mu(v)^-1) of its word (_Tail.conjugator).  A candidate with an
-    inner tail takes the first identity: g(v) is v conjugated by x when g is
-    inner too, else one substitution of mu(v) by g's held substitution and
-    one series inverse.  One with an inner generator and a non-inner tail
-    takes the second: mu(c(x)) is read off c's images along x, and inverted
-    once.  Either way the candidate is inner_series_endo of the pair (see
-    _inner_conjugator).  Candidates with no inner factor are composed by
-    series_endo_commutator, and so is every randomized sample of
-    verify_johnson_injectivity, so each run checks the two routes against
-    each other.
+    Inn(F_n) is normal, so a commutator with an inner factor is inner.  A
+    candidate with an inner tail or an inner generator (one whose symbols
+    all are, x read off them, never assumed from the family) is
+    inner_series_endo of the expansion pair that _inner_conjugator builds
+    from one substituted or conjugated series and at most one inverse.
+    Candidates with no inner factor are composed by series_endo_commutator,
+    and so is every randomized sample of verify_johnson_injectivity, so each
+    run checks the two routes against each other.
 
     A candidate is screened at cutoff k+1: its degree test and Johnson image
     read only degrees <= k+1, and composition commutes with truncation, so
@@ -357,77 +359,73 @@ def _johnson_layer(family: str, n: int, k: int, max_degree: int):
     with lyndon_peel, which subtracts only the Lyndon-word part of each P_w;
     a candidate that enlarges the lattice is read again with the full
     tensor_to_lyndon, which also checks that every slice is a Lie element,
-    and the two must agree.  A kept candidate becomes a tail, so below the
-    top layer it is rebuilt by the same route at the full cutoff
-    max_degree+1, checked to truncate to its screened table, and its inverse
-    is built there; at k == max_degree the screen cutoff is the full cutoff.
-    A disagreement in either check raises RuntimeError.
-
-    Returns (lattice, spanning tails as (series, inverse series), scanned).
-    A tail's inverse is only read when the next layer brackets against it,
-    so it is built for kept tails only, and top-layer tails (k == max_degree)
-    carry None in its place and no conjugator.
+    and the two must agree.  Below the top layer a kept candidate is rebuilt
+    by the same route at the full cutoff max_degree+1 as a _Tail and checked
+    to truncate to what was screened: its pair if it is inner, else its
+    table, whose inverse is built only then.  A disagreement in either check
+    raises RuntimeError.
     """
-    top, cut = max_degree + 1, k + 1
+    top = max_degree + 1
     gen_series = _generator_series(family, n, top)
     words = [_conjugating_word(g) for g in family_generators(family, n)]
-    builder = LatticeBuilder(image_dim(n, k))
-    tails = []
-    prev_tails = (None,) if k == 1 else _johnson_layer(family, n, k - 1, max_degree)[1]
-    screen_tails = [
-        None
-        if c is None
-        else _Tail(*(series_endo_truncate(t, cut) for t in c), _truncate_pair(c.conjugator, cut))
-        for c in prev_tails
+    x_pairs = [
+        None if x is None else (magnus_expand(x, top), magnus_expand(word_inverse(x), top))
+        for x in words
     ]
-    for idx, (g, x) in enumerate(zip(gen_series, words), start=1):
-        g_cut = tuple(series_endo_truncate(t, cut) for t in g)
-        x_pair = None if x is None else (magnus_expand(x, top), magnus_expand(word_inverse(x), top))
-        x_cut = _truncate_pair(x_pair, cut)
-        # substitutions of g and g^-1 serve g's whole run of candidates and
-        # are dropped when the run ends; an inner g builds every candidate
-        # by the inner route, which substitutes by neither
-        if x is None:
-            subs = SeriesSubstitution(g_cut[0]), SeriesSubstitution(g_cut[1])
-            full_subs = subs if cut == top else (SeriesSubstitution(g[0]), SeriesSubstitution(g[1]))
-        else:
-            subs = full_subs = None, None
-        for c, c_cut in zip(prev_tails, screen_tails):
-            if c is None:
-                se = g_cut[0]
-            elif (pair := _inner_conjugator(g_cut, x, x_cut, c_cut, subs[0])) is not None:
-                se = inner_series_endo(*pair)
+    prev_tails = (None,)  # the generators themselves are the degree-1 candidates
+    for k in range(1, max_degree + 1):
+        cut = k + 1
+        builder = LatticeBuilder(image_dim(n, k))
+        tails = []
+        screen_tails = [None if c is None else c.truncate(cut) for c in prev_tails]
+        for idx, (g, x, x_pair) in enumerate(zip(gen_series, words, x_pairs), start=1):
+            g_cut = tuple(series_endo_truncate(t, cut) for t in g)
+            x_cut = _truncate_pair(x_pair, cut)
+            # substitutions of g and g^-1 serve g's whole run of candidates
+            # and are dropped when the run ends; an inner g builds every
+            # candidate by the inner route, which substitutes by neither
+            if x is None:
+                subs = SeriesSubstitution(g_cut[0]), SeriesSubstitution(g_cut[1])
+                full_subs = subs if cut == top else (SeriesSubstitution(g[0]), SeriesSubstitution(g[1]))
             else:
-                se = series_endo_commutator(*g_cut, *c_cut, a_sub=subs[0], a_inv_sub=subs[1])
-            ro = series_read_off(se)
-            if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
-                continue
-            screened = der_vector(ro.johnson_image(lyndon_peel))
-            if not builder.add(screened):
-                continue
-            if der_vector(ro.johnson_image()) != screened:
-                raise RuntimeError(
-                    f"{family} Johnson layer {k}: the Lyndon-word peel of the kept "
-                    f"commutator with generator {idx} disagrees with the full peel"
-                )
-            if k == max_degree:
-                tails.append((se, None))
-                continue
-            if c is None:
-                full, full_inv, pair = *g, x_pair
-            elif (pair := _inner_conjugator(g, x, x_pair, c, full_subs[0])) is not None:
-                full, full_inv = inner_series_endo(*pair), inner_series_endo(*reversed(pair))
-            else:
-                a_sub, a_inv_sub = full_subs
-                full = series_endo_commutator(*g, *c, a_sub=a_sub, a_inv_sub=a_inv_sub)
-                full_inv = series_endo_commutator(*c, *g, b_sub=a_sub)
-            if series_endo_truncate(full, cut) != se:
-                raise RuntimeError(
-                    f"{family} Johnson layer {k}: the kept commutator with generator "
-                    f"{idx} does not truncate to its screened table"
-                )
-            tails.append(_Tail(full, full_inv, pair))
-    return builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
+                subs = full_subs = None, None
+            for c, c_cut in zip(prev_tails, screen_tails):
+                if c is None:
+                    se, pair = g_cut[0], x_cut
+                elif (pair := _inner_conjugator(g_cut, x, x_cut, c_cut, subs[0])) is not None:
+                    se = inner_series_endo(*pair)
+                else:
+                    se = series_endo_commutator(*g_cut, *c_cut, a_sub=subs[0], a_inv_sub=subs[1])
+                ro = series_read_off(se)
+                if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
+                    continue
+                screened = der_vector(ro.johnson_image(lyndon_peel))
+                if not builder.add(screened):
+                    continue
+                if der_vector(ro.johnson_image()) != screened:
+                    raise RuntimeError(
+                        f"{family} Johnson layer {k}: the Lyndon-word peel of the kept "
+                        f"commutator with generator {idx} disagrees with the full peel"
+                    )
+                if k == max_degree:
+                    continue
+                if pair is not None:
+                    full = x_pair if c is None else _inner_conjugator(g, x, x_pair, c, full_subs[0])
+                    tail, agrees = _Tail(None, None, full), _truncate_pair(full, cut) == pair
+                elif c is None:
+                    tail, agrees = _Tail(*g), True
+                else:
+                    full = series_endo_commutator(*g, *c, a_sub=full_subs[0], a_inv_sub=full_subs[1])
+                    tail = _Tail(full, series_endo_commutator(*c, *g, b_sub=full_subs[0]))
+                    agrees = series_endo_truncate(full, cut) == se
+                if not agrees:
+                    raise RuntimeError(
+                        f"{family} Johnson layer {k}: the kept commutator with generator {idx} "
+                        f"does not truncate to its screened {'table' if pair is None else 'pair'}"
+                    )
+                tails.append(tail)
+        yield builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
+        prev_tails = tails
 
 
 def _random_commutator_series(gen_series, rng, weight: int, inverse: bool = False):
@@ -454,8 +452,7 @@ def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) ->
         raise ValueError("need n >= 2 and max_degree >= 1")
     rep = SuiteReport("johnson-injectivity", {"family": family, "n": n, "max_degree": max_degree})
     layers = {}
-    for k in range(1, max_degree + 1):
-        lattice, _, scanned = _johnson_layer(family, n, k, max_degree)
+    for k, (lattice, _, scanned) in enumerate(_johnson_layers(family, n, max_degree), start=1):
         layers[k] = lattice
         rep.check(
             f"degree-{k} image lattice rank ({scanned} commutators scanned)",

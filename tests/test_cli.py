@@ -166,7 +166,6 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     from lieforge import suites
     from lieforge.magnus import SeriesEndo, TruncSeries
 
-    suites._johnson_layer.cache_clear()
     generators = [t for g in suites._generator_series("Pn", 3, 5) for t in g]
     truncate = suites.series_endo_truncate
 
@@ -182,12 +181,9 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         return SeriesEndo(out.rank_n, d, (TruncSeries(out.rank_n, d, parts), *out.images[1:]))
 
     monkeypatch.setattr(suites, "series_endo_truncate", corrupted)
-    try:
-        code, out, err = run_cli(
-            capsys, "verify", "johnson", "--family", "Pn", "--n", "3", "--max-degree", "4"
-        )
-    finally:
-        suites._johnson_layer.cache_clear()
+    code, out, err = run_cli(
+        capsys, "verify", "johnson", "--family", "Pn", "--n", "3", "--max-degree", "4"
+    )
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: Pn Johnson layer 2: the kept commutator")

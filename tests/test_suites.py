@@ -99,41 +99,50 @@ def test_johnson_small():
 
 
 # (scanned, kept, rank) per layer k = 1..4 at n = 3, recorded when every
-# candidate still built both commutator orders
+# candidate still built both commutator orders; the top layer yields no
+# tails, so its kept count shows only in its rank
 JOHNSON_LAYERS_N3_D4 = {
     "Pn": [(3, 3, 3), (9, 1, 1), (3, 2, 2), (6, 3, 3)],
     "FnPn": [(6, 5, 5), (30, 4, 4), (24, 10, 10), (60, 21, 21)],
 }
 
 
+def assert_layer_triples(family, triples):
+    """(scanned, tails yielded, rank) per layer against JOHNSON_LAYERS_N3_D4."""
+    want = JOHNSON_LAYERS_N3_D4[family]
+    assert [(s, r) for s, _, r in triples] == [(s, r) for s, _, r in want]
+    assert [t for _, t, _ in triples] == [t for _, t, _ in want[:-1]] + [0]
+
+
 @pytest.mark.parametrize("family", sorted(JOHNSON_LAYERS_N3_D4))
 def test_johnson_layer_tails_and_inverses(family):
-    from lieforge.magnus import series_endo_compose
-    from lieforge.suites import _johnson_layer
+    from lieforge.magnus import series_endo_compose, series_mul
+    from lieforge.suites import _johnson_layers
 
     n, top = 3, 4
     one = series_endo_identity(n, top + 1).images
     triples = []
-    for k in range(1, top + 1):
-        lattice, tails, scanned = _johnson_layer(family, n, k, top)
+    for lattice, tails, scanned in _johnson_layers(family, n, top):
         triples.append((scanned, len(tails), lattice.rank))
-        for se, se_inv in tails:
-            if k == top:
-                assert se_inv is None
+        for tail in tails:
+            if tail.conjugator is not None:
+                mu, mu_inv = tail.conjugator
+                assert tail == (None, None)
+                assert series_mul(mu, mu_inv).coeffs == {(): 1}
+                assert series_mul(mu_inv, mu).coeffs == {(): 1}
                 continue
+            se, se_inv = tail
             assert series_endo_compose(se, se_inv).images == one
             assert series_endo_compose(se_inv, se).images == one
-    assert triples == JOHNSON_LAYERS_N3_D4[family]
+    assert_layer_triples(family, triples)
 
 
-def _johnson_layers(family, n, top):
-    from lieforge.suites import _johnson_layer
+def _layer_summaries(family, n, top):
+    from lieforge.suites import _johnson_layers
 
-    _johnson_layer.cache_clear()
     out = []
-    for k in range(1, top + 1):
-        lattice, tails, scanned = _johnson_layer(family, n, k, top)
-        series = [(se.images, None if se_inv is None else se_inv.images) for se, se_inv in tails]
+    for lattice, tails, scanned in _johnson_layers(family, n, top):
+        series = [tail.conjugator or tuple(t.images for t in tail) for tail in tails]
         out.append(((scanned, len(tails), lattice.rank), series))
     return out
 
@@ -143,23 +152,32 @@ def test_johnson_layer_substitution_reuse_changes_nothing(family, monkeypatch):
     import gc
 
     from lieforge import suites
-    from lieforge.magnus import SeriesSubstitution
+    from lieforge.magnus import SeriesEndo, SeriesSubstitution
 
     n, top = 3, 4
-    reused = _johnson_layers(family, n, top)
+    reused = _layer_summaries(family, n, top)
     # the per-generator substitutions are gone once the layers return: none
     # is left alive, and no cached generator table or tail carries one
     gc.collect()
     assert not any(isinstance(o, SeriesSubstitution) for o in gc.get_objects())
     tables = [t for g in suites._generator_series(family, n, top + 1) for t in g]
-    for k in range(1, top + 1):
-        tables += [t for tail in suites._johnson_layer(family, n, k, top)[1] for t in tail if t]
+    for _, tails, _ in suites._johnson_layers(family, n, top):
+        tables += [t for tail in tails for t in tail if t]
     assert all(set(vars(t)) == {"rank_n", "max_degree", "images"} for t in tables)
+    # nor are the tails: once the suite returns, the only series tables
+    # left are the cached generator tables (and any held before the call)
+    del tables
+    gc.collect()
+    held = [o for o in gc.get_objects() if isinstance(o, (SeriesEndo, suites._Tail))]
+    assert verify_johnson_injectivity(family, n, top).passed
+    held += [t for g in suites._generator_series(family, n, top + 1) for t in g]
+    gc.collect()
+    left = [o for o in gc.get_objects() if isinstance(o, (SeriesEndo, suites._Tail))]
+    assert not [o for o in left if not any(o is h for h in held)]
     with monkeypatch.context() as m:
         m.setattr(suites, "SeriesSubstitution", lambda table: None)
-        fresh = _johnson_layers(family, n, top)
-    suites._johnson_layer.cache_clear()
-    assert [triple for triple, _ in reused] == JOHNSON_LAYERS_N3_D4[family]
+        fresh = _layer_summaries(family, n, top)
+    assert_layer_triples(family, [triple for triple, _ in reused])
     assert reused == fresh
 
 
@@ -206,27 +224,41 @@ def _full_cutoff_layers(family, n, top):
     + [("FnPn", 3, 5), ("FnPn", 4, 4)],
 )
 def test_johnson_layer_screen_matches_full_cutoff(family, n, top):
-    from lieforge.suites import _johnson_layer
+    from lieforge.magnus import inner_series_endo
+    from lieforge.suites import _johnson_layers
 
-    _johnson_layer.cache_clear()
-    try:
-        for k, (lattice, tails, scanned) in enumerate(_full_cutoff_layers(family, n, top), start=1):
-            got_lattice, got_tails, got_scanned = _johnson_layer(family, n, k, top)
-            assert (got_scanned, len(got_tails)) == (scanned, len(tails))
-            assert got_lattice.rows == lattice.rows
-            assert got_tails == tails
-    finally:
-        _johnson_layer.cache_clear()
+    want = _full_cutoff_layers(family, n, top)
+    got = list(_johnson_layers(family, n, top))
+    assert len(got) == len(want) == top
+    for k, ((lattice, tails, scanned), (got_lattice, got_tails, got_scanned)) in enumerate(
+        zip(want, got), start=1
+    ):
+        assert got_scanned == scanned
+        assert got_lattice.rows == lattice.rows
+        if k == top:
+            # nothing brackets against the top layer, so it keeps no tails
+            assert got_tails == ()
+            continue
+        assert len(got_tails) == len(tails)
+        for tail, (se, se_inv) in zip(got_tails, tails):
+            if tail.conjugator is None:
+                assert tail == (se, se_inv)
+            else:
+                # an inner tail is its expansion pair alone
+                assert tail == (None, None)
+                assert inner_series_endo(*tail.conjugator) == se
+                assert inner_series_endo(*reversed(tail.conjugator)) == se_inv
 
 
 def test_johnson_layer_screen_mismatch_is_an_internal_error(monkeypatch):
     from lieforge import suites
     from lieforge.magnus import SeriesEndo
 
-    family, n, top, k = "Pn", 3, 4, 2
-    suites._johnson_layer.cache_clear()
+    family, n, top = "Pn", 3, 4
+    layers = suites._johnson_layers(family, n, top)
+    _, tails, _ = next(layers)
     known = [t for g in suites._generator_series(family, n, top + 1) for t in g]
-    known += [t for tail in suites._johnson_layer(family, n, k - 1, top)[1] for t in tail]
+    known += [t for tail in tails for t in tail]
     truncate = suites.series_endo_truncate
 
     def corrupted(se, d):
@@ -241,11 +273,46 @@ def test_johnson_layer_screen_mismatch_is_an_internal_error(monkeypatch):
         return SeriesEndo(n, d, (trunc_series(n, d, coeffs), *out.images[1:]))
 
     monkeypatch.setattr(suites, "series_endo_truncate", corrupted)
-    try:
-        with pytest.raises(RuntimeError, match=r"Pn Johnson layer 2: .* generator \d+ "):
-            suites._johnson_layer(family, n, k, top)
-    finally:
-        suites._johnson_layer.cache_clear()
+    with pytest.raises(RuntimeError, match=r"Pn Johnson layer 2: .* generator \d+ .* table$"):
+        next(layers)
+
+
+def test_johnson_layer_inner_pair_mismatch_is_an_internal_error(monkeypatch, capsys):
+    from lieforge import suites
+    from lieforge.cli import main
+    from lieforge.magnus import TruncSeries
+
+    family, n, top = "FnPn", 3, 4
+    route = suites._inner_conjugator
+    corrupted = []
+
+    def extra_term(g, x, x_pair, c, g_sub):
+        # one inner pair rebuilt at the full cutoff gains a term of degree 2,
+        # which its truncation to the screen cutoff keeps
+        pair = route(g, x, x_pair, c, g_sub)
+        if pair is None or pair[0].max_degree != top + 1 or corrupted:
+            return pair
+        mu = pair[0]
+        parts = [dict(p) for p in mu.parts]
+        parts[2][(1, 2)] = parts[2].get((1, 2), 0) + 1
+        parts[2] = {m: c for m, c in parts[2].items() if c}
+        corrupted.append(mu)
+        return TruncSeries(mu.rank_n, mu.max_degree, parts), pair[1]
+
+    monkeypatch.setattr(suites, "_inner_conjugator", extra_term)
+    with pytest.raises(
+        RuntimeError, match=r"FnPn Johnson layer 2: .* generator \d+ does not truncate to its screened pair"
+    ):
+        for _ in suites._johnson_layers(family, n, top):
+            pass
+    assert len(corrupted) == 1
+    corrupted.clear()
+    code = main(["verify", "johnson", "--family", family, "--n", str(n), "--max-degree", str(top)])
+    out = capsys.readouterr()
+    assert len(corrupted) == 1
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("internal error: FnPn Johnson layer 2: the kept commutator")
 
 
 def test_johnson_layer_peel_mismatch_is_an_internal_error(monkeypatch):
@@ -257,13 +324,9 @@ def test_johnson_layer_peel_mismatch_is_an_internal_error(monkeypatch):
         # kept candidate disagrees with its full peel
         return {p: 2 * c for p, c in lyndon_peel(n, tensor).items()}
 
-    suites._johnson_layer.cache_clear()
     monkeypatch.setattr(suites, "lyndon_peel", doubled)
-    try:
-        with pytest.raises(RuntimeError, match=r"FnPn Johnson layer 1: the Lyndon-word peel"):
-            suites._johnson_layer("FnPn", 3, 1, 3)
-    finally:
-        suites._johnson_layer.cache_clear()
+    with pytest.raises(RuntimeError, match=r"FnPn Johnson layer 1: the Lyndon-word peel"):
+        next(suites._johnson_layers("FnPn", 3, 3))
 
 
 def test_conjugating_word_is_read_off_inner_symbols():
