@@ -35,14 +35,14 @@ from .freelie import (
     lyndon_words,
     standard_factorization,
     witt_rank,
-    _basis_bracket,
+    _fresh_bracket,
 )
 from .zlattice import (
     IntLattice,
     LatticeBuilder,
     combine,
     lattice_from_rows,
-    relations_among,
+    _relations,
 )
 
 
@@ -238,22 +238,35 @@ def tangential_basis(n: int, k: int) -> list[HomDerivation]:
     return out
 
 
+def _boundary_brackets(n: int, k: int):
+    """The brackets [X_i, P_u] over tangential_coords(n, k), one at a time.
+
+    Each is a new dict of degree-(k+1) Lyndon positions that the caller owns;
+    none of them enters the bracket cache.
+    """
+    for i, u in tangential_coords(n, k):
+        yield _fresh_bracket(n, (i,), u)
+
+
 @lru_cache(maxsize=None)
 def braidlike_lattice(n: int, k: int) -> IntLattice:
     """Saturated kernel of the boundary evaluation, in tangential coordinates.
 
     The coordinate (i, u) evaluates to [X_i, u], so the kernel is the
-    relations among those brackets.
+    relations among those brackets.  Their Lyndon positions are already
+    columns 0..witt_rank(n, k+1)-1, so the brackets go into the elimination
+    as they are made, one at a time, and none is kept or cached.
     """
-    return relations_among(_basis_bracket(n, (i,), u) for i, u in tangential_coords(n, k))
+    rows = _boundary_brackets(n, k)
+    return _relations(rows, witt_rank(n, k + 1), len(tangential_coords(n, k)))
 
 
 def ev_boundary_surjective(n: int, k: int) -> bool:
     """Whether degree-k tangential derivations evaluate onto all of degree k+1."""
     dim = witt_rank(n, k + 1)
     image = LatticeBuilder(dim)
-    for i, u in tangential_coords(n, k):
-        image.add(_basis_bracket(n, (i,), u))
+    for row in _boundary_brackets(n, k):
+        image.add(row)
     return image.rank == dim and all(image.contains({p: 1}) for p in range(dim))
 
 
@@ -277,8 +290,8 @@ def braidlike_image_lattice(n: int, k: int) -> IntLattice:
     """The braid-like derivations of degree k, in generator-image coordinates."""
     block = witt_rank(n, k + 1)
     images = [
-        {(i - 1) * block + p: v for p, v in _basis_bracket(n, (i,), u).items()}
-        for i, u in tangential_coords(n, k)
+        {(i - 1) * block + p: v for p, v in row.items()}
+        for (i, _), row in zip(tangential_coords(n, k), _boundary_brackets(n, k))
     ]
     rows = (combine(tv, images) for tv in braidlike_lattice(n, k).pivot_rows.values())
     return lattice_from_rows(rows, image_dim(n, k))

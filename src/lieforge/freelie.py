@@ -8,6 +8,12 @@ the standard factorization of uv is (u, v), and otherwise the Jacobi
 identity on u's standard factorization reduces it to shorter brackets
 (Reutenauer, Free Lie Algebras, 1993).
 
+Basis brackets are cached (_basis_bracket), and the cache holds only brackets
+below the degree that a kernel is building.  A kernel's own degree, the
+brackets [X_i, P_u] that one lattice eliminates once, is recomputed by the
+same rewriting without the cache (_fresh_bracket) and never stored: at
+n = 5 that degree is most of what the cache would otherwise hold.
+
 Lie elements are homogeneous.  One of degree k keeps its coefficients as
 {position: coeff} over lyndon_words(n, k), which is already the sparse row
 the lattice layer takes, so no conversion sits between the two.
@@ -286,18 +292,20 @@ def lie_sub(a: LieElement, b: LieElement) -> LieElement:
     return lie_add(a, lie_neg(b))
 
 
-@lru_cache(maxsize=None)
-def _basis_bracket(n: int, wa: tuple[int, ...], wb: tuple[int, ...]):
-    """Bracket of two basis bracketings, as a (position -> coeff) dict.
+def _rewrite(n: int, wa: tuple[int, ...], wb: tuple[int, ...], same) -> dict:
+    """One rewriting step of [P_wa, P_wb], as a fresh (position -> coeff) dict.
 
     For Lyndon words u < v, [P_u, P_v] = P_uv when u is a letter or u's
     right standard factor is >= v.  Otherwise, with (u1, u2) the standard
     factorization of u, Jacobi gives [P_u1, [P_u2, P_v]] - [P_u2, [P_u1, P_v]].
+    The inner brackets have lower total degree and come from _basis_bracket;
+    the outer ones, and the swap for v < u, keep the total degree and come
+    from same.
     """
     if wa == wb:
         return {}
     if wb < wa:
-        return {p: -c for p, c in _basis_bracket(n, wb, wa).items()}
+        return {p: -c for p, c in same(n, wb, wa).items()}
     if len(wa) == 1 or standard_factorization(wa)[1] >= wb:
         return {lyndon_position(n, len(wa) + len(wb))[wa + wb]: 1}
     u1, u2 = standard_factorization(wa)
@@ -305,13 +313,30 @@ def _basis_bracket(n: int, wa: tuple[int, ...], wb: tuple[int, ...]):
     for x, y, sign in ((u1, u2, 1), (u2, u1, -1)):
         words = lyndon_words(n, len(y) + len(wb))
         for p, c in _basis_bracket(n, y, wb).items():
-            for q, v in _basis_bracket(n, x, words[p]).items():
+            for q, v in same(n, x, words[p]).items():
                 nv = out.get(q, 0) + sign * c * v
                 if nv:
                     out[q] = nv
                 else:
                     out.pop(q, None)
     return out
+
+
+@lru_cache(maxsize=None)
+def _basis_bracket(n: int, wa: tuple[int, ...], wb: tuple[int, ...]) -> dict:
+    """Bracket of two basis bracketings, as a (position -> coeff) dict.
+
+    The dict is the cache's own and must not be changed.  The cache keeps
+    every bracket asked for here; a kernel builder asks only for brackets
+    below the degree it builds, and takes that degree from _fresh_bracket,
+    which is recomputed each time and never stored.
+    """
+    return _rewrite(n, wa, wb, _basis_bracket)
+
+
+def _fresh_bracket(n: int, wa: tuple[int, ...], wb: tuple[int, ...]) -> dict:
+    """_basis_bracket without storing its own degree: a new dict the caller owns."""
+    return _rewrite(n, wa, wb, _fresh_bracket)
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:

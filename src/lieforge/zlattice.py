@@ -327,19 +327,30 @@ def relations_among(vectors) -> IntLattice:
     """Integer relations {x : sum_t x_t v_t = 0} among the given vectors.
 
     Vectors are dicts {key: coeff} with keys of any one sortable type, or
-    dense sequences.  Each v_t is echelonized together with a unit marker
-    e_t placed after every vector coordinate.  Every elimination step is
-    unimodular, so the echelon rows whose vector part vanished, those with
-    pivot at or after the markers, are a basis of the saturated relation
-    lattice; shifted onto the markers they are its echelon rows as they stand.
+    dense sequences.  Their keys are relabelled as columns 0, 1, ... in
+    sorted order, which keeps their order, and the rows go to the same
+    elimination as every other caller's (_relations).
     """
     vecs = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
     keys = sorted({key for v in vecs for key, c in v.items() if c})
     col = {key: i for i, key in enumerate(keys)}
-    width, m = len(col), len(vecs)
+    rows = ({col[key]: c for key, c in v.items() if c} for v in vecs)
+    return _relations(rows, len(col), len(vecs))
+
+
+def _relations(rows, width: int, m: int) -> IntLattice:
+    """Integer relations among m sparse rows over the columns 0..width-1.
+
+    rows may be any iterable, read once in order; each row is a dict
+    {column: nonzero coeff} that the elimination takes over and changes.
+    Row t is echelonized together with a unit marker e_t at column
+    width + t, after every vector coordinate.  Every elimination step is
+    unimodular, so the echelon rows whose vector part vanished, those with
+    pivot at or after the markers, are a basis of the saturated relation
+    lattice; shifted onto the markers they are its echelon rows as they stand.
+    """
     b = LatticeBuilder(width + m)
-    for t, v in enumerate(vecs):
-        row = {col[key]: c for key, c in v.items() if c}
+    for t, row in enumerate(rows):
         row[width + t] = 1
         b._insert(row)
     return IntLattice(

@@ -246,6 +246,8 @@ PINNED_STDOUT = {
         "d96d516fb5e0d0c06b12433d4b06c734941bb965e79efcb41f29b3660849e996",
     "ranks --object der-t-boundary --n 5 --max-degree 5":
         "cf852de9da4a7d277c3dce35c437f63fb38ce1f7ab7cd7268138680ecea2ee97",
+    "ranks --object der-t-boundary --n 6 --max-degree 5":
+        "bcc1c7e173284e053d4700f3a28ceb32b67e72f18eab410d8cd3d1907e013f08",
     "census --n-range 3..5 --degree 4":
         "1a8b66a70ef218ac188159111c8554f2ae816d79cb3fa733f2a9b195e2929212",
     "verify johnson --family Inn --n 4 --max-degree 4":

@@ -25,9 +25,11 @@ from lieforge.derivations import (
     tangential_derivation,
     tangential_rank_formula,
 )
+from lieforge import freelie
 from lieforge.dk import tau1
 from lieforge.freelie import (
     LieElement,
+    _basis_bracket,
     boundary_element,
     centralizer_of_linear,
     lie_add,
@@ -39,6 +41,7 @@ from lieforge.freelie import (
     lyndon_words,
     witt_rank,
 )
+from lieforge.zlattice import relations_among
 
 
 def image_bracket(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
@@ -180,6 +183,38 @@ def test_braidlike_ranks():
         for k in range(1, 5):
             assert braidlike_lattice(n, k).rank == braidlike_rank_formula(n, k)
             assert ev_boundary_surjective(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(1, 6)] + [(4, 6)])
+def test_braidlike_lattice_matches_relations_among(n, k):
+    # the oracle is the kernel built as the relations among cached brackets;
+    # the streamed build must leave the same echelon rows, pivots in order
+    want = relations_among(_basis_bracket(n, (i,), u) for i, u in tangential_coords(n, k))
+    got = braidlike_lattice(n, k)
+    assert list(got.pivot_rows) == list(want.pivot_rows)
+    assert got.pivot_rows == want.pivot_rows
+    assert got.ambient_dim == want.ambient_dim
+
+
+def test_kernel_degree_stays_out_of_the_bracket_cache(monkeypatch):
+    # every call into the bracket cache goes through the module attribute,
+    # so a recorder there sees them all: building a degree-5 kernel may
+    # cache brackets of degree up to 5, never its own degree 6
+    cached = freelie._basis_bracket
+    degrees = []
+
+    def recorder(n, wa, wb):
+        degrees.append(len(wa) + len(wb))
+        return cached(n, wa, wb)
+
+    monkeypatch.setattr(freelie, "_basis_bracket", recorder)
+    builds = (braidlike_lattice.__wrapped__, ev_boundary_surjective,
+              braidlike_image_lattice.__wrapped__)
+    for build in builds:
+        cached.cache_clear()
+        degrees.clear()
+        build(4, 5)
+        assert degrees and max(degrees) < 6, build.__name__
 
 
 def test_braidlike_members_kill_boundary():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lieforge.freelie import (
     LieElement,
     _basis_bracket,
+    _fresh_bracket,
     _tensor_commutator,
     boundary_element,
     centralizer_of_linear,
@@ -159,15 +160,24 @@ def test_basis_bracket_rewriting_matches_tensor_peel(pair):
     rewritten = _basis_bracket.__wrapped__(n, a, b)
     assert rewritten == _peeled_bracket(n, a, b)
     assert _basis_bracket(n, a, b) == rewritten
+    assert _fresh_bracket(n, a, b) == rewritten
 
 
 def test_basis_bracket_rewriting_exhaustive_n3():
+    # _fresh_bracket's dict is the caller's: the kernel builders add a
+    # relation marker to it, which must not reach _basis_bracket's cache
     n = 3
     for ka in range(1, 6):
         for kb in range(1, 7 - ka):
+            marker = witt_rank(n, ka + kb)
             for a in lyndon_words(n, ka):
                 for b in lyndon_words(n, kb):
-                    assert _basis_bracket(n, a, b) == _peeled_bracket(n, a, b), (a, b)
+                    want = _peeled_bracket(n, a, b)
+                    assert _basis_bracket(n, a, b) == want, (a, b)
+                    fresh = _fresh_bracket(n, a, b)
+                    assert fresh == want, (a, b)
+                    fresh[marker] = 1
+                    assert _basis_bracket(n, a, b) == want, (a, b)
 
 
 def test_bracket_agrees_with_tensor_commutator():
