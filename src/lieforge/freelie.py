@@ -22,9 +22,7 @@ The tensor-algebra path is kept for extracting Lie classes from Magnus
 series and as an independent oracle for the rewriting: the expansion of a
 standard bracketing is its own word plus lexicographically larger terms,
 which makes peeling a tensor back onto the Lyndon basis exact and makes
-non-Lie tensors detectable (tensor_to_lyndon).  The same triangularity holds
-on the Lyndon words alone, so lyndon_peel reads the coordinates of a tensor
-known to be Lie off its Lyndon-word entries, without that check.
+non-Lie tensors detectable (tensor_to_lyndon).
 """
 
 from __future__ import annotations
@@ -178,49 +176,6 @@ def tensor_to_lyndon(n: int, tensor: dict) -> dict:
                     heapq.heappush(heap, wu)
             else:
                 work.pop(wu, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _lyndon_part(w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The Lyndon words u != w in the expansion of P_w, with their
-    coefficients; every one is larger than w, and w's own coefficient is 1."""
-    return tuple((u, c) for u, c in tensor_expand_word(w).items() if u != w and is_lyndon(u))
-
-
-def lyndon_peel(n: int, tensor: dict) -> dict:
-    """Coordinates of a homogeneous Lie tensor read off its Lyndon-word entries.
-
-    Restricted to Lyndon words, P_w is w plus larger words, so the entries
-    determine the coordinates by forward substitution in increasing order,
-    subtracting only the Lyndon-word part of each P_w.  Unlike
-    tensor_to_lyndon this does not check that the tensor is a Lie element: on
-    one that is not, it returns coordinates of some other tensor.
-    """
-    if not tensor:
-        return {}
-    pos = lyndon_position(n, len(next(iter(tensor))))
-    work = {m: c for m, c in tensor.items() if c and m in pos}
-    out: dict[int, int] = {}
-    # a key that cancels and comes back is pushed twice; popping it from work
-    # when it is processed makes its second turn read zero
-    heap = list(work)
-    heapq.heapify(heap)
-    while heap:
-        m = heapq.heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        out[pos[m]] = c
-        for u, cu in _lyndon_part(m):
-            old = work.get(u, 0)
-            nv = old - c * cu
-            if nv:
-                work[u] = nv
-                if not old:
-                    heapq.heappush(heap, u)
-            else:
-                del work[u]
     return out
 
 

@@ -207,10 +207,10 @@ def lie_class(w: ReducedWord, d: int) -> LieElement:
     return word_read_off(w, d).lie_class()
 
 
-def _slice_class(s: TruncSeries, k: int, peel=tensor_to_lyndon) -> LieElement:
-    """The degree-k slice of s as a Lie element, in Lyndon coordinates read by
-    peel (the full, checking tensor_to_lyndon unless a caller screens)."""
-    return LieElement(s.rank_n, k, peel(s.rank_n, s.parts[k]))
+def _slice_class(s: TruncSeries, k: int) -> LieElement:
+    """The degree-k slice of s as a Lie element, in Lyndon coordinates
+    (tensor_to_lyndon, which also checks that the slice is one)."""
+    return LieElement(s.rank_n, k, tensor_to_lyndon(s.rank_n, s.parts[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,6 @@ def _slice_class(s: TruncSeries, k: int, peel=tensor_to_lyndon) -> LieElement:
 # one it keeps across a run of compositions with the same left table, and
 # drops when the run ends.  Nothing is stored on the SeriesEndo itself.
 #
-# Substitution X_j -> S_j - 1 has no constant term, so it commutes with
-# truncation: the composite of two tables truncated to a lower cutoff is the
-# composite truncated to it (series_endo_truncate).
-#
 # Substitution by a is a linear map A on series, and when a_inv is a's
 # inverse below the cutoff, A(a_inv(x_i)) = (a o a^-1)(x_i) = 1 + X_i.  So
 # the last step a o v of a commutator a b a^-1 b^-1, v = b a^-1 b^-1,
@@ -254,11 +250,12 @@ def _slice_class(s: TruncSeries, k: int, peel=tensor_to_lyndon) -> LieElement:
 # the second, x's and the pair of b(x) (series_word_image, b's images along
 # x, and one series_inverse).  This is one series where the general
 # commutator substitutes whole tables three times.  The Johnson layers
-# (suites._johnson_layers) build every candidate with an inner factor this
-# way and the rest with series_endo_commutator, and carry a kept inner one
-# to the next layer by its pair alone (the top layer's are carried nowhere:
-# nothing brackets against them).  Their randomized samples keep
-# series_endo_commutator, so the two routes check each other on every run.
+# (suites._johnson_layers) screen candidates by their Lie bracket and
+# compose only the kept ones, a kept one with an inner factor this way and
+# the rest with series_endo_commutator; a kept inner one goes to the next
+# layer by its pair alone (the top layer's go nowhere: nothing brackets
+# against them).  Their randomized samples keep series_endo_commutator, so
+# the two routes check each other on every run.
 
 
 @dataclass
@@ -272,17 +269,6 @@ def endo_to_series(e: EndoTable, d: int) -> SeriesEndo:
     return SeriesEndo(
         e.rank_n, d, tuple(magnus_expand(w, d) for w in e.images)
     )
-
-
-def series_endo_truncate(se: SeriesEndo, d: int) -> SeriesEndo:
-    """se with every monomial beyond degree d dropped; se itself when d is
-    already its cutoff.  The kept parts are shared with se, not copied."""
-    if d == se.max_degree:
-        return se
-    if not 1 <= d < se.max_degree:
-        raise ValueError("can only truncate to a lower cutoff")
-    n = se.rank_n
-    return SeriesEndo(n, d, tuple(TruncSeries(n, d, s.parts[: d + 1]) for s in se.images))
 
 
 class SeriesSubstitution:
@@ -475,16 +461,12 @@ class SeriesReadOff(NamedTuple):
     degree: Degree
     displacements: tuple[TruncSeries, ...]
 
-    def johnson_image(self, peel=tensor_to_lyndon) -> HomDerivation:
-        """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = self.degree.
-
-        peel reads each slice's Lyndon coordinates; the default
-        tensor_to_lyndon also checks that the slice is a Lie element.
-        """
+    def johnson_image(self) -> HomDerivation:
+        """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = self.degree."""
         j = self.degree
         if isinstance(j, AboveCutoff):
             raise ValueError("automorphism has no finite degree below the cutoff")
-        images = tuple(_slice_class(disp, j + 1, peel) for disp in self.displacements)
+        images = tuple(_slice_class(disp, j + 1) for disp in self.displacements)
         return HomDerivation(self.rank_n, j, images)
 
 

@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .braids import (
     AutWord,
@@ -31,20 +32,30 @@ from .braids import (
     sym_tri,
     xi_word,
 )
-from .derivations import ad_derivation, ad_image_lattice, der_scale, der_vector, image_dim
+from .derivations import (
+    HomDerivation,
+    ad_derivation,
+    ad_image_lattice,
+    der_bracket,
+    der_scale,
+    der_vector,
+    image_dim,
+    tangential_derivation,
+)
 from .dk import der_bracket_of_generators, dk_component, dk_rank_formula, xi_derivation
 from .freelie import (
+    LieElement,
     boundary_element,
     centralizer_of_linear,
     lie_bracket,
     lie_generator,
-    lyndon_peel,
+    lyndon_words,
     witt_rank,
 )
 from .magnus import (
     AboveCutoff,
+    SeriesEndo,
     SeriesSubstitution,
-    TruncSeries,
     endo_to_series,
     inner_series_endo,
     johnson_image,
@@ -54,8 +65,8 @@ from .magnus import (
     same_degree,
     series_a_degree,
     series_endo_commutator,
-    series_endo_truncate,
     series_inverse,
+    series_johnson_image,
     series_read_off,
     series_substitute,
     series_word_image,
@@ -279,30 +290,17 @@ def _conjugating_word(g: AutWord) -> ReducedWord | None:
     return w
 
 
-class _Tail(tuple):
+class _Tail(NamedTuple):
     """A kept commutator below the top layer, holding only what the next
-    layer brackets by: an inner one, inn(v), its expansion pair
-    (mu(v), mu(v)^-1) as conjugator and None for both tables; any other its
-    (series table, inverse series table) and None as conjugator."""
+    layer brackets by: the tangents of its Johnson image and, for an inner
+    one, inn(v), its expansion pair (mu(v), mu(v)^-1) as conjugator, with
+    None for both tables; for any other, its series table and inverse series
+    table, with None as conjugator."""
 
-    def __new__(cls, table, inverse, conjugator=None):
-        tail = super().__new__(cls, (table, inverse))
-        tail.conjugator = conjugator
-        return tail
-
-    def truncate(self, d: int):
-        """This tail truncated beyond degree d, sharing the kept parts."""
-        if self.conjugator is not None:
-            return _Tail(None, None, _truncate_pair(self.conjugator, d))
-        return _Tail(*(series_endo_truncate(t, d) for t in self))
-
-
-def _truncate_pair(pair, d: int):
-    """An expansion pair truncated beyond degree d, sharing the kept parts;
-    None for None."""
-    if pair is None:
-        return None
-    return tuple(TruncSeries(s.rank_n, d, s.parts[: d + 1]) for s in pair)
+    tangents: tuple
+    table: SeriesEndo | None = None
+    inverse: SeriesEndo | None = None
+    conjugator: tuple | None = None
 
 
 def _inner_conjugator(g, x, x_pair, c, g_sub):
@@ -325,45 +323,70 @@ def _inner_conjugator(g, x, x_pair, c, g_sub):
         return pair_quotient(gv, v)
     if x is not None:
         # [inn(x), c] = inn(x c(x)^-1)
-        cx = series_word_image(c[0], x)
+        cx = series_word_image(c.table, x)
         return pair_quotient(x_pair, (cx, series_inverse(cx)))
     return None
+
+
+def _tangential(jd: HomDerivation) -> HomDerivation | None:
+    """A degree-1 derivation rebuilt from its tangents X_i -> [X_i, t_i], or
+    None when it is not tangential.
+
+    [X_i, X_m] is P_im for i < m and -P_mi for m < i, so the degree-2 Lyndon
+    coordinates of each image name the linear t_i (with no X_i term, the
+    kernel of the parametrization); the rebuilt derivation equals jd exactly
+    when jd is tangential.
+    """
+    n = jd.rank_n
+    if jd.degree != 1:
+        return None
+    words = lyndon_words(n, 2)
+    tangents = []
+    for i, img in enumerate(jd.images, start=1):
+        t = {}
+        for p, c in img.coeffs.items():
+            a, b = words[p]
+            if a == i:
+                t[b - 1] = c
+            elif b == i:
+                t[a - 1] = -c
+        tangents.append(LieElement(n, 1, t))
+    tau = tangential_derivation(n, 1, tuple(tangents))
+    return tau if tau == jd else None
 
 
 def _johnson_layers(family: str, n: int, max_degree: int):
     """Degree-k Johnson-image lattices of weight-k left-normed commutators,
     yielded as (lattice, tails, scanned) for k = 1..max_degree.
 
-    Commutators are composed as truncated series tables (word-level normal
-    forms of nested braid commutators grow exponentially, their expansions
-    below the cutoff do not).  The degree-k tails are the commutators whose
-    image enlarged the lattice, so they span it over Z and bracketing the
-    generators against them spans degree k+1: scanned, the candidate count,
-    is (number of generators) x (previous spanning size).  Only the previous
-    layer's tails are held; the top layer (k == max_degree) yields none,
-    since no layer brackets against it.
+    The degree-k tails are the commutators whose image enlarged the lattice,
+    so they span it over Z and bracketing the generators against them spans
+    degree k+1: scanned, the candidate count, is (number of generators) x
+    (previous spanning size).  Only the previous layer's tails are held; the
+    top layer (k == max_degree) yields none, since no layer brackets
+    against it.
 
-    Inn(F_n) is normal, so a commutator with an inner factor is inner.  A
-    candidate with an inner tail or an inner generator (one whose symbols
-    all are, x read off them, never assumed from the family) is
-    inner_series_endo of the expansion pair that _inner_conjugator builds
-    from one substituted or conjugated series and at most one inverse.
-    Candidates with no inner factor are composed by series_endo_commutator,
-    and so is every randomized sample of verify_johnson_injectivity, so each
-    run checks the two routes against each other.
+    Candidates are screened on the Lie side.  The Johnson map is a Lie
+    morphism, tau_k([g, c]) = [tau_1(g), tau_{k-1}(c)] (Satoh 2016), and
+    every degree-1 image here is tangential, so a candidate's image is the
+    der_bracket of its generator's tau_1 with the tangents its tail carries;
+    a zero bracket means degree above k, and the candidate is skipped.
+    Each generator's tangents are read off its series-side degree-1 Johnson
+    image, which must equal the derivation rebuilt from them.
 
-    A candidate is screened at cutoff k+1: its degree test and Johnson image
-    read only degrees <= k+1, and composition commutes with truncation, so
-    it is built from the generator tables, conjugator pairs and tails
-    truncated to k+1 (each tail once per layer).  The screen reads its image
-    with lyndon_peel, which subtracts only the Lyndon-word part of each P_w;
-    a candidate that enlarges the lattice is read again with the full
-    tensor_to_lyndon, which also checks that every slice is a Lie element,
-    and the two must agree.  Below the top layer a kept candidate is rebuilt
-    by the same route at the full cutoff max_degree+1 as a _Tail and checked
-    to truncate to what was screened: its pair if it is inner, else its
-    table, whose inverse is built only then.  A disagreement in either check
-    raises RuntimeError.
+    Only a candidate that enlarges the lattice is composed, once, at the
+    full cutoff max_degree+1 (word-level normal forms of nested braid
+    commutators grow exponentially, their truncated series tables do not),
+    and read with the checking tensor_to_lyndon: it must have degree k and
+    the bracket as its image, or RuntimeError is raised.  Inn(F_n) is
+    normal, so a commutator with an inner factor is inner: a candidate with
+    an inner tail or an inner generator (one whose symbols all are, x read
+    off them, never assumed from the family) is inner_series_endo of the
+    expansion pair that _inner_conjugator builds from one substituted or
+    conjugated series and at most one inverse.  Candidates with no inner
+    factor are composed by series_endo_commutator, and so is every
+    randomized sample of verify_johnson_injectivity, so each run checks the
+    two routes against each other.
     """
     top = max_degree + 1
     gen_series = _generator_series(family, n, top)
@@ -372,58 +395,65 @@ def _johnson_layers(family: str, n: int, max_degree: int):
         None if x is None else (magnus_expand(x, top), magnus_expand(word_inverse(x), top))
         for x in words
     ]
+    taus = []
+    for idx, g in enumerate(gen_series, start=1):
+        tau = _tangential(series_johnson_image(g[0]))
+        if tau is None:
+            raise RuntimeError(
+                f"{family} Johnson layer 1: the degree-1 Johnson image of generator "
+                f"{idx} is not tangential"
+            )
+        taus.append(tau)
     prev_tails = (None,)  # the generators themselves are the degree-1 candidates
     for k in range(1, max_degree + 1):
-        cut = k + 1
         builder = LatticeBuilder(image_dim(n, k))
         tails = []
-        screen_tails = [None if c is None else c.truncate(cut) for c in prev_tails]
-        for idx, (g, x, x_pair) in enumerate(zip(gen_series, words, x_pairs), start=1):
-            g_cut = tuple(series_endo_truncate(t, cut) for t in g)
-            x_cut = _truncate_pair(x_pair, cut)
+        for idx, (g, x, x_pair, tau) in enumerate(zip(gen_series, words, x_pairs, taus), start=1):
             # substitutions of g and g^-1 serve g's whole run of candidates
             # and are dropped when the run ends; an inner g builds every
             # candidate by the inner route, which substitutes by neither
             if x is None:
-                subs = SeriesSubstitution(g_cut[0]), SeriesSubstitution(g_cut[1])
-                full_subs = subs if cut == top else (SeriesSubstitution(g[0]), SeriesSubstitution(g[1]))
+                subs = SeriesSubstitution(g[0]), SeriesSubstitution(g[1])
             else:
-                subs = full_subs = None, None
-            for c, c_cut in zip(prev_tails, screen_tails):
+                subs = None, None
+            for c in prev_tails:
                 if c is None:
-                    se, pair = g_cut[0], x_cut
-                elif (pair := _inner_conjugator(g_cut, x, x_cut, c_cut, subs[0])) is not None:
+                    lie = tau
+                else:
+                    tangents = der_bracket(tau, c.tangents)
+                    if not any(t.coeffs for t in tangents):
+                        continue  # [g, c] has degree above k
+                    lie = tangential_derivation(n, k, tangents)
+                if not builder.add(der_vector(lie)):
+                    continue
+                if c is None:
+                    se, pair = g[0], x_pair
+                elif (pair := _inner_conjugator(g, x, x_pair, c, subs[0])) is not None:
                     se = inner_series_endo(*pair)
                 else:
-                    se = series_endo_commutator(*g_cut, *c_cut, a_sub=subs[0], a_inv_sub=subs[1])
+                    se = series_endo_commutator(
+                        *g, c.table, c.inverse, a_sub=subs[0], a_inv_sub=subs[1]
+                    )
                 ro = series_read_off(se)
-                if isinstance(ro.degree, AboveCutoff) or ro.degree != k:
-                    continue
-                screened = der_vector(ro.johnson_image(lyndon_peel))
-                if not builder.add(screened):
-                    continue
-                if der_vector(ro.johnson_image()) != screened:
+                if ro.degree != k:
                     raise RuntimeError(
-                        f"{family} Johnson layer {k}: the Lyndon-word peel of the kept "
-                        f"commutator with generator {idx} disagrees with the full peel"
+                        f"{family} Johnson layer {k}: the kept commutator with generator "
+                        f"{idx} has degree {ro.degree}, not {k}"
+                    )
+                if ro.johnson_image() != lie:
+                    raise RuntimeError(
+                        f"{family} Johnson layer {k}: the kept commutator with generator "
+                        f"{idx} has a Johnson image other than its Lie bracket"
                     )
                 if k == max_degree:
                     continue
                 if pair is not None:
-                    full = x_pair if c is None else _inner_conjugator(g, x, x_pair, c, full_subs[0])
-                    tail, agrees = _Tail(None, None, full), _truncate_pair(full, cut) == pair
+                    tails.append(_Tail(lie.tangents, conjugator=pair))
                 elif c is None:
-                    tail, agrees = _Tail(*g), True
+                    tails.append(_Tail(lie.tangents, *g))
                 else:
-                    full = series_endo_commutator(*g, *c, a_sub=full_subs[0], a_inv_sub=full_subs[1])
-                    tail = _Tail(full, series_endo_commutator(*c, *g, b_sub=full_subs[0]))
-                    agrees = series_endo_truncate(full, cut) == se
-                if not agrees:
-                    raise RuntimeError(
-                        f"{family} Johnson layer {k}: the kept commutator with generator {idx} "
-                        f"does not truncate to its screened {'table' if pair is None else 'pair'}"
-                    )
-                tails.append(tail)
+                    inverse = series_endo_commutator(c.table, c.inverse, *g, b_sub=subs[0])
+                    tails.append(_Tail(lie.tangents, se, inverse))
         yield builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
         prev_tails = tails
 

@@ -164,26 +164,32 @@ def test_removed_jobs_flag_is_rejected(capsys):
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     from lieforge import suites
+    from lieforge.freelie import tensor_expand_word
     from lieforge.magnus import SeriesEndo, TruncSeries
 
-    generators = [t for g in suites._generator_series("Pn", 3, 5) for t in g]
-    truncate = suites.series_endo_truncate
+    commutator = suites.series_endo_commutator
+    corrupted = []
 
-    def corrupted(se, d):
-        # generator tables truncate as before; a kept commutator rebuilt at
-        # the full cutoff gains a term in its truncation
-        out = truncate(se, d)
-        if any(se is t for t in generators):
-            return out
-        parts = [dict(p) for p in out.images[0].parts]
-        parts[d][(1,) * d] = parts[d].get((1,) * d, 0) + 1
-        parts[d] = {m: c for m, c in parts[d].items() if c}
-        return SeriesEndo(out.rank_n, d, (TruncSeries(out.rank_n, d, parts), *out.images[1:]))
+    def extra_term(*args, **kwargs):
+        # the first commutator composed is the one kept witness of layer 2:
+        # its table of x_1 gains the expansion of P_122, so its Johnson image
+        # is no longer the bracket of its factors' images
+        se = commutator(*args, **kwargs)
+        if corrupted:
+            return se
+        corrupted.append(se)
+        parts = [dict(p) for p in se.images[0].parts]
+        for m, c in tensor_expand_word((1, 2, 2)).items():
+            parts[3][m] = parts[3].get(m, 0) + c
+        parts[3] = {m: c for m, c in parts[3].items() if c}
+        x1 = TruncSeries(se.rank_n, se.max_degree, parts)
+        return SeriesEndo(se.rank_n, se.max_degree, (x1, *se.images[1:]))
 
-    monkeypatch.setattr(suites, "series_endo_truncate", corrupted)
+    monkeypatch.setattr(suites, "series_endo_commutator", extra_term)
     code, out, err = run_cli(
         capsys, "verify", "johnson", "--family", "Pn", "--n", "3", "--max-degree", "4"
     )
+    assert len(corrupted) == 1
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: Pn Johnson layer 2: the kept commutator")

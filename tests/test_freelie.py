@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -17,8 +16,6 @@ from lieforge.freelie import (
     lie_generator,
     lie_scale,
     lie_zero,
-    lyndon_peel,
-    lyndon_position,
     lyndon_words,
     mobius,
     standard_factorization,
@@ -226,57 +223,6 @@ def test_tensor_to_lyndon_detects_non_lie():
         tensor_to_lyndon(2, {(1, 2): 1})  # X1X2 alone is not a Lie element
     with pytest.raises(ValueError):
         tensor_to_lyndon(2, {(1,): 1, (1, 2): 1})  # inhomogeneous
-
-
-@st.composite
-def lie_sums(draw):
-    """A homogeneous element of degree k <= 6 on 2 <= n <= 4 generators: an
-    integer combination of up to four basis words."""
-    n = draw(st.integers(2, 4))
-    k = draw(st.integers(1, 6))
-    dim = witt_rank(n, k)
-    terms = st.tuples(st.integers(0, dim - 1), st.integers(-3, 3).filter(bool))
-    return LieElement(n, k, {p: c for p, c in draw(st.lists(terms, max_size=4))})
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(lie_sums())
-def test_lyndon_peel_matches_full_peel(elt):
-    tensor = to_tensor(elt)
-    assert lyndon_peel(elt.rank_n, tensor) == tensor_to_lyndon(elt.rank_n, tensor) == elt.coeffs
-
-
-def _cancel_and_return(n, k):
-    """Elements P_w1 + P_w2 - c P_u, with w1 < w2 < u Lyndon and c the
-    coefficient of u in P_w2, whose u entry is nonzero.  Peeling P_w1 off
-    cancels u, peeling P_w2 brings it back, so u is met twice."""
-    pos = lyndon_position(n, k)
-
-    def lyndon_part(w):
-        return {u: c for u, c in tensor_expand_word(w).items() if u != w and u in pos}
-
-    for w1, w2 in itertools.combinations(lyndon_words(n, k), 2):
-        part1, part2 = lyndon_part(w1), lyndon_part(w2)
-        for u in sorted(part1.keys() & part2.keys()):
-            elt = LieElement(n, k, {pos[w1]: 1, pos[w2]: 1, pos[u]: -part2[u]})
-            assert to_tensor(elt)[u] == part1[u]
-            yield elt
-
-
-@pytest.mark.parametrize("n, k", [(2, 6), (3, 4), (3, 5), (4, 4)])
-def test_lyndon_peel_key_that_cancels_and_comes_back(n, k):
-    cases = list(itertools.islice(_cancel_and_return(n, k), 40))
-    assert cases
-    for elt in cases:
-        tensor = to_tensor(elt)
-        assert lyndon_peel(n, tensor) == tensor_to_lyndon(n, tensor) == elt.coeffs
-
-
-def test_lyndon_peel_reads_lyndon_entries_only():
-    # X1X2 alone is not a Lie element; the restricted peel does not notice
-    assert lyndon_peel(2, {(1, 2): 1}) == {0: 1}
-    assert lyndon_peel(2, {(2, 1): 1}) == {}
-    assert lyndon_peel(3, {}) == {}
 
 
 def test_centralizer_examples():

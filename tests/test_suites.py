@@ -116,24 +116,26 @@ def assert_layer_triples(family, triples):
 
 @pytest.mark.parametrize("family", sorted(JOHNSON_LAYERS_N3_D4))
 def test_johnson_layer_tails_and_inverses(family):
+    from lieforge.derivations import der_vector, tangential_derivation
     from lieforge.magnus import series_endo_compose, series_mul
     from lieforge.suites import _johnson_layers
+    from lieforge.zlattice import lattice_member
 
     n, top = 3, 4
     one = series_endo_identity(n, top + 1).images
     triples = []
-    for lattice, tails, scanned in _johnson_layers(family, n, top):
+    for k, (lattice, tails, scanned) in enumerate(_johnson_layers(family, n, top), start=1):
         triples.append((scanned, len(tails), lattice.rank))
         for tail in tails:
+            assert lattice_member(der_vector(tangential_derivation(n, k, tail.tangents)), lattice)
             if tail.conjugator is not None:
                 mu, mu_inv = tail.conjugator
-                assert tail == (None, None)
+                assert (tail.table, tail.inverse) == (None, None)
                 assert series_mul(mu, mu_inv).coeffs == {(): 1}
                 assert series_mul(mu_inv, mu).coeffs == {(): 1}
                 continue
-            se, se_inv = tail
-            assert series_endo_compose(se, se_inv).images == one
-            assert series_endo_compose(se_inv, se).images == one
+            assert series_endo_compose(tail.table, tail.inverse).images == one
+            assert series_endo_compose(tail.inverse, tail.table).images == one
     assert_layer_triples(family, triples)
 
 
@@ -142,7 +144,10 @@ def _layer_summaries(family, n, top):
 
     out = []
     for lattice, tails, scanned in _johnson_layers(family, n, top):
-        series = [tail.conjugator or tuple(t.images for t in tail) for tail in tails]
+        series = [
+            (tail.tangents, tail.conjugator or (tail.table.images, tail.inverse.images))
+            for tail in tails
+        ]
         out.append(((scanned, len(tails), lattice.rank), series))
     return out
 
@@ -162,7 +167,7 @@ def test_johnson_layer_substitution_reuse_changes_nothing(family, monkeypatch):
     assert not any(isinstance(o, SeriesSubstitution) for o in gc.get_objects())
     tables = [t for g in suites._generator_series(family, n, top + 1) for t in g]
     for _, tails, _ in suites._johnson_layers(family, n, top):
-        tables += [t for tail in tails for t in tail if t]
+        tables += [t for tail in tails for t in (tail.table, tail.inverse) if t]
     assert all(set(vars(t)) == {"rank_n", "max_degree", "images"} for t in tables)
     # nor are the tails: once the suite returns, the only series tables
     # left are the cached generator tables (and any held before the call)
@@ -188,8 +193,9 @@ def _commutator_by_compositions(a, a_inv, b, b_inv):
 
 
 def _full_cutoff_layers(family, n, top):
-    """The Johnson layers composed at the full cutoff top + 1 throughout, with
-    commutators as three compositions: the oracle of the screened layers."""
+    """The Johnson layers with every candidate composed at the full cutoff
+    top + 1 and commutators as three compositions: the oracle of the layers
+    screened by Lie brackets."""
     from lieforge.derivations import der_vector, image_dim
     from lieforge.magnus import AboveCutoff, series_read_off
     from lieforge.suites import _generator_series
@@ -217,14 +223,14 @@ def _full_cutoff_layers(family, n, top):
 
 
 # FnPn at (3, 5) and (4, 4) carries inner tails of degree 3 and above
-# through the inner route's full-cutoff rebuild
 @pytest.mark.parametrize(
     "family, n, top",
     [(f, n, top) for f in ("Inn", "Pn", "FnPn") for n, top in ((3, 4), (4, 3))]
     + [("FnPn", 3, 5), ("FnPn", 4, 4)],
 )
-def test_johnson_layer_screen_matches_full_cutoff(family, n, top):
-    from lieforge.magnus import inner_series_endo
+def test_johnson_layers_match_full_cutoff_oracle(family, n, top):
+    from lieforge.derivations import tangential_derivation
+    from lieforge.magnus import inner_series_endo, series_read_off
     from lieforge.suites import _johnson_layers
 
     want = _full_cutoff_layers(family, n, top)
@@ -241,67 +247,136 @@ def test_johnson_layer_screen_matches_full_cutoff(family, n, top):
             continue
         assert len(got_tails) == len(tails)
         for tail, (se, se_inv) in zip(got_tails, tails):
+            assert tangential_derivation(n, k, tail.tangents) == series_read_off(se).johnson_image()
             if tail.conjugator is None:
-                assert tail == (se, se_inv)
+                assert (tail.table, tail.inverse) == (se, se_inv)
             else:
                 # an inner tail is its expansion pair alone
-                assert tail == (None, None)
+                assert (tail.table, tail.inverse) == (None, None)
                 assert inner_series_endo(*tail.conjugator) == se
                 assert inner_series_endo(*reversed(tail.conjugator)) == se_inv
 
 
-def test_johnson_layer_screen_mismatch_is_an_internal_error(monkeypatch):
+@pytest.mark.parametrize("family", ["Inn", "Pn", "FnPn"])
+def test_johnson_layers_read_off_only_kept_witnesses(family, monkeypatch):
+    # a candidate is screened by its Lie bracket, so only those that enlarge
+    # a lattice are composed and read off on the group side
     from lieforge import suites
-    from lieforge.magnus import SeriesEndo
 
-    family, n, top = "Pn", 3, 4
-    layers = suites._johnson_layers(family, n, top)
-    _, tails, _ = next(layers)
-    known = [t for g in suites._generator_series(family, n, top + 1) for t in g]
-    known += [t for tail in tails for t in tail]
-    truncate = suites.series_endo_truncate
+    calls = []
+    read_off = suites.series_read_off
 
-    def corrupted(se, d):
-        # generator tables and old tails truncate as before; a kept commutator
-        # rebuilt at the full cutoff gains a term in its truncation
-        out = truncate(se, d)
-        if any(se is t for t in known):
-            return out
-        coeffs = dict(out.images[0].coeffs)
-        coeffs[(1,) * d] = coeffs.get((1,) * d, 0) + 1
-        coeffs = {m: c for m, c in coeffs.items() if c}
-        return SeriesEndo(n, d, (trunc_series(n, d, coeffs), *out.images[1:]))
+    def recorded(se):
+        calls.append(se.max_degree)
+        return read_off(se)
 
-    monkeypatch.setattr(suites, "series_endo_truncate", corrupted)
-    with pytest.raises(RuntimeError, match=r"Pn Johnson layer 2: .* generator \d+ .* table$"):
-        next(layers)
+    monkeypatch.setattr(suites, "series_read_off", recorded)
+    layers = list(suites._johnson_layers(family, 3, 4))
+    assert len(calls) == sum(lattice.rank for lattice, _, _ in layers)
+    assert len(calls) < sum(scanned for _, _, scanned in layers)
+    assert set(calls) == {5}
 
 
-def test_johnson_layer_inner_pair_mismatch_is_an_internal_error(monkeypatch, capsys):
+@pytest.mark.parametrize("family, n", [(f, n) for f in ("Inn", "Pn", "FnPn") for n in (3, 4)])
+def test_generator_tangents_match_the_lie_side(family, n):
+    # inn(x_i) maps to ad(X_i) and A(i,j) to tau1(i, j)
+    from lieforge.derivations import ad_derivation, tangent_vector
+    from lieforge.dk import tau1
+    from lieforge.freelie import lie_generator
+    from lieforge.magnus import series_johnson_image
+    from lieforge.suites import _generator_series, _tangential
+
+    inner = [ad_derivation(lie_generator(n, i)) for i in range(1, n + 1)] if family != "Pn" else []
+    pure = [tau1(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pure = pure if family != "Inn" else []
+    got = [_tangential(series_johnson_image(g[0])) for g in _generator_series(family, n, 3)]
+    assert got == inner + pure
+    # no t_l read off has an X_l term (tangent_vector raises on one), so
+    # tau1's tangents, which have none, come back exactly
+    for tau in got:
+        tangent_vector(n, 1, tau.tangents)
+    assert [tau.tangents for tau in got[len(inner) :]] == [ref.tangents for ref in pure]
+
+
+def test_tangential_refuses_what_is_not_tangential():
+    from lieforge.derivations import HomDerivation, der_zero
+    from lieforge.dk import tau1
+    from lieforge.freelie import lie_add, lie_bracket, lie_generator
+    from lieforge.suites import _tangential
+
+    n = 3
+    tau = tau1(1, 2, n)
+    assert _tangential(tau) == tau
+    x1 = lie_add(tau.image(1), lie_bracket(lie_generator(n, 2), lie_generator(n, 3)))
+    assert _tangential(HomDerivation(n, 1, (x1, *tau.images[1:]))) is None
+    assert _tangential(der_zero(n, 2)) is None
+
+
+def _plus_lie_term(se, i, word):
+    """se with the expansion of the basis bracket P_word added to the image of
+    x_i: a Lie term of degree len(word), so the degree-(len(word)-1) Johnson
+    image of se gains P_word in its i-th image."""
+    from lieforge.freelie import tensor_expand_word
+    from lieforge.magnus import SeriesEndo, TruncSeries
+
+    images = list(se.images)
+    parts = [dict(p) for p in images[i - 1].parts]
+    for m, c in tensor_expand_word(word).items():
+        parts[len(m)][m] = parts[len(m)].get(m, 0) + c
+    parts = [{m: c for m, c in p.items() if c} for p in parts]
+    images[i - 1] = TruncSeries(se.rank_n, se.max_degree, parts)
+    return SeriesEndo(se.rank_n, se.max_degree, tuple(images))
+
+
+def test_johnson_layer_witness_image_mismatch_is_an_internal_error(monkeypatch):
+    from lieforge import suites
+
+    commutator = suites.series_endo_commutator
+    corrupted = []
+
+    def extra_term(*args, **kwargs):
+        # the first commutator composed is the one kept witness of layer 2;
+        # its image of X_1 gains P_122
+        se = commutator(*args, **kwargs)
+        if corrupted:
+            return se
+        corrupted.append(se)
+        return _plus_lie_term(se, 1, (1, 2, 2))
+
+    monkeypatch.setattr(suites, "series_endo_commutator", extra_term)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^Pn Johnson layer 2: the kept commutator with generator \d+ has a Johnson "
+        r"image other than its Lie bracket$",
+    ):
+        for _ in suites._johnson_layers("Pn", 3, 4):
+            pass
+    assert len(corrupted) == 1
+
+
+def test_johnson_layer_witness_degree_mismatch_is_an_internal_error(monkeypatch, capsys):
     from lieforge import suites
     from lieforge.cli import main
-    from lieforge.magnus import TruncSeries
 
     family, n, top = "FnPn", 3, 4
     route = suites._inner_conjugator
     corrupted = []
 
-    def extra_term(g, x, x_pair, c, g_sub):
-        # one inner pair rebuilt at the full cutoff gains a term of degree 2,
-        # which its truncation to the screen cutoff keeps
+    def unit_pair(g, x, x_pair, c, g_sub):
+        # the first inner witness, on layer 2, comes back as conjugation by
+        # the empty word: the identity, of no degree below the cutoff
         pair = route(g, x, x_pair, c, g_sub)
-        if pair is None or pair[0].max_degree != top + 1 or corrupted:
+        if pair is None or corrupted:
             return pair
-        mu = pair[0]
-        parts = [dict(p) for p in mu.parts]
-        parts[2][(1, 2)] = parts[2].get((1, 2), 0) + 1
-        parts[2] = {m: c for m, c in parts[2].items() if c}
-        corrupted.append(mu)
-        return TruncSeries(mu.rank_n, mu.max_degree, parts), pair[1]
+        corrupted.append(pair)
+        one = trunc_series(n, top + 1, {(): 1})
+        return one, one
 
-    monkeypatch.setattr(suites, "_inner_conjugator", extra_term)
+    monkeypatch.setattr(suites, "_inner_conjugator", unit_pair)
     with pytest.raises(
-        RuntimeError, match=r"FnPn Johnson layer 2: .* generator \d+ does not truncate to its screened pair"
+        RuntimeError,
+        match=r"^FnPn Johnson layer 2: the kept commutator with generator \d+ has degree "
+        r"AboveCutoff, not 2$",
     ):
         for _ in suites._johnson_layers(family, n, top):
             pass
@@ -315,18 +390,30 @@ def test_johnson_layer_inner_pair_mismatch_is_an_internal_error(monkeypatch, cap
     assert out.err.startswith("internal error: FnPn Johnson layer 2: the kept commutator")
 
 
-def test_johnson_layer_peel_mismatch_is_an_internal_error(monkeypatch):
+def test_johnson_layer_non_tangential_generator_is_an_internal_error(monkeypatch):
     from lieforge import suites
-    from lieforge.freelie import lyndon_peel
+    from lieforge.derivations import HomDerivation
+    from lieforge.freelie import lie_add, lie_bracket, lie_generator
 
-    def doubled(n, tensor):
-        # every screened coordinate is off by a factor of two, so the first
-        # kept candidate disagrees with its full peel
-        return {p: 2 * c for p, c in lyndon_peel(n, tensor).items()}
+    image = suites.series_johnson_image
+    n = 3
 
-    monkeypatch.setattr(suites, "lyndon_peel", doubled)
-    with pytest.raises(RuntimeError, match=r"FnPn Johnson layer 1: the Lyndon-word peel"):
-        next(suites._johnson_layers("FnPn", 3, 3))
+    def with_bracket(se):
+        # generator 2's degree-1 image of X_1 gains [X_2, X_3], which no
+        # tangent t_1 brackets X_1 into
+        jd = image(se)
+        if se is not suites._generator_series("FnPn", n, 4)[1][0]:
+            return jd
+        x1 = lie_add(jd.image(1), lie_bracket(lie_generator(n, 2), lie_generator(n, 3)))
+        return HomDerivation(n, 1, (x1, *jd.images[1:]))
+
+    monkeypatch.setattr(suites, "series_johnson_image", with_bracket)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^FnPn Johnson layer 1: the degree-1 Johnson image of generator 2 is not "
+        r"tangential$",
+    ):
+        next(suites._johnson_layers("FnPn", n, 3))
 
 
 def test_conjugating_word_is_read_off_inner_symbols():
@@ -394,14 +481,14 @@ def test_inner_route_matches_general_commutator(case):
     if shape == "[a,inn(w)]":
         g, x, x_pair = a, None, None
         c, w_pair = inner(w)
-        c = _Tail(*c, w_pair)
+        c = _Tail(None, *c, w_pair)
     else:
         g, x_pair = inner(x)
-        c = _Tail(*a) if shape == "[inn(x),a]" else _Tail(*inner(w)[0], inner(w)[1])
+        c = _Tail(None, *a) if shape == "[inn(x),a]" else _Tail(None, *inner(w)[0], inner(w)[1])
     g_sub = SeriesSubstitution(g[0]) if held else None
     mu, mu_inv = _inner_conjugator(g, x, x_pair, c, g_sub)
     assert series_mul(mu, mu_inv).coeffs == {(): 1}
-    want = series_endo_commutator(*g, *c)
+    want = series_endo_commutator(*g, c.table, c.inverse)
     assert inner_series_endo(mu, mu_inv).images == want.images, case
     assert inner_series_endo(mu).images == want.images, case
 
@@ -410,7 +497,7 @@ def test_inner_route_needs_an_inner_factor():
     from lieforge.suites import _generator_series, _inner_conjugator, _Tail
 
     a, b = _generator_series("Pn", 3, 4)[:2]
-    assert _inner_conjugator(a, None, None, _Tail(*b), None) is None
+    assert _inner_conjugator(a, None, None, _Tail(None, *b), None) is None
 
 
 def test_random_commutator_inverse_is_built_on_request():
