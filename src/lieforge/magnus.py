@@ -239,6 +239,14 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 # is 1 + X_i + A(v_i - a_inv_i): only the difference of v from a^-1, which
 # is sparse when b is IA, is substituted (series_endo_commutator).
 #
+# An IA table's inverse needs no second commutator.  Its substitution is
+# C = I + N with N raising degree by at least shift, so C^-1 is the Neumann
+# sum I - N + N^2 - ..., which ends after at most ceil((d-1)/shift) terms;
+# series_endo_inverse applies it to 1 + X_i, and N only expands the
+# monomials no longer than keep.  A table of degree k has shift k, so a
+# commutator's sum has few terms over few short monomials, where the
+# reversed commutator would compose three whole tables.
+#
 # Inner automorphisms need no table arithmetic at all.  inn(w) is carried by
 # the expansion pair (mu(w), mu(w)^-1) of its word, and inner_series_endo
 # builds its table from that pair.  Inn(F_n) is normal, so a commutator with
@@ -253,9 +261,10 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 # (suites._johnson_layers) screen candidates by their Lie bracket and
 # compose only the kept ones, a kept one with an inner factor this way and
 # the rest with series_endo_commutator; a kept inner one goes to the next
-# layer by its pair alone (the top layer's go nowhere: nothing brackets
-# against them).  Their randomized samples keep series_endo_commutator, so
-# the two routes check each other on every run.
+# layer by its pair alone, any other with its series_endo_inverse (the top
+# layer's go nowhere: nothing brackets against them).  Their randomized
+# samples keep series_endo_commutator, so the two routes check each other
+# on every run.
 
 
 @dataclass
@@ -348,7 +357,6 @@ def series_endo_commutator(
     *,
     a_sub: SeriesSubstitution | None = None,
     a_inv_sub: SeriesSubstitution | None = None,
-    b_sub: SeriesSubstitution | None = None,
 ) -> SeriesEndo:
     """Series table of the group commutator a b a^-1 b^-1.
 
@@ -356,10 +364,10 @@ def series_endo_commutator(
     step a o v, v = b a^-1 b^-1, substitutes only v - a^-1: its image of x_i
     is 1 + X_i + A(v_i - a_inv_i), A the substitution by a, because
     A(a_inv_i) = (a o a^-1)(x_i) = 1 + X_i.  The optional substitutions of
-    a, a_inv and b are passed on to the steps that substitute those tables.
+    a and a_inv are passed on to the steps that substitute those tables.
     """
     v = series_endo_compose(a_inv, b_inv, a_inv_sub)
-    v = series_endo_compose(b, v, b_sub)
+    v = series_endo_compose(b, v)
     if (a.rank_n, a.max_degree) != (v.rank_n, v.max_degree):
         raise ValueError("series endo mismatch")
     a_sub = _substitution_for(a, a_sub)
@@ -373,6 +381,47 @@ def series_endo_commutator(
         parts = _substitute(a_sub, diff)
         parts[0] = {(): 1}
         _add_scaled(parts[1], {(i,): 1}, 1)
+        images.append(TruncSeries(n, d, parts))
+    return SeriesEndo(n, d, tuple(images))
+
+
+def _excess(sub: SeriesSubstitution, parts: list[dict], scale: int) -> list[dict]:
+    """Parts of scale * N(s), N = C - I for the substitution C of an IA
+    table, s the series with these parts: a monomial m of length L <= sub.keep
+    adds its substituted monomial's parts above L (the part at L is X_m
+    itself), and a longer one adds nothing."""
+    out = [{} for _ in parts]
+    for k, part in enumerate(parts[: sub.keep + 1]):
+        for mono, c in part.items():
+            for dest, terms in zip(out[k + 1 :], sub.prefix(mono)[k + 1 :]):
+                if terms:
+                    _add_scaled(dest, terms, scale * c)
+    return out
+
+
+def series_endo_inverse(se: SeriesEndo) -> SeriesEndo:
+    """Series table of the inverse of an IA table se, by a Neumann sum.
+
+    The substitution by se is C = I + N, N raising degree by at least
+    shift >= 1 (SeriesSubstitution.keep = d - shift), and the inverse's image
+    T_i solves C(T_i) = 1 + X_i.  N(1 + X_i) = Delta_i = S_i - 1 - X_i, so
+    T_i = 1 + X_i - Delta_i + N(Delta_i) - N^2(Delta_i) + ..., each term
+    shift degrees above the last; the sum ends when a term vanishes, after
+    at most ceil((d - 1) / shift) applications of N.  Raises NonIAError,
+    before any sum, when some image's degree-1 part is not X_i.
+    """
+    n, d = se.rank_n, se.max_degree
+    for i, s in enumerate(se.images, start=1):
+        if s.parts[1] != {(i,): 1}:
+            raise NonIAError(f"endomorphism is not IA: image of x{i} shifts the abelianization")
+    sub = SeriesSubstitution(se)
+    images = []
+    for i, s in enumerate(se.images, start=1):
+        term = [{}, {}] + [{m: -c for m, c in part.items()} for part in s.parts[2:]]
+        parts = [{(): 1}, {(i,): 1}] + [dict(part) for part in term[2:]]
+        while any(term := _excess(sub, term, -1)):
+            for dest, terms in zip(parts, term):
+                _add_scaled(dest, terms, 1)
         images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
 

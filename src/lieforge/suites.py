@@ -65,6 +65,7 @@ from .magnus import (
     same_degree,
     series_a_degree,
     series_endo_commutator,
+    series_endo_inverse,
     series_inverse,
     series_johnson_image,
     series_read_off,
@@ -372,7 +373,10 @@ def _johnson_layers(family: str, n: int, max_degree: int):
     der_bracket of its generator's tau_1 with the tangents its tail carries;
     a zero bracket means degree above k, and the candidate is skipped.
     Each generator's tangents are read off its series-side degree-1 Johnson
-    image, which must equal the derivation rebuilt from them.
+    image, which must equal the derivation rebuilt from them.  On layer 2
+    every tail is a kept generator, and [g_b, g_a] with a <= b is skipped
+    before its bracket when g_b was kept: it is zero or the negative of
+    [g_a, g_b], scanned earlier, so it cannot enlarge the lattice.
 
     Only a candidate that enlarges the lattice is composed, once, at the
     full cutoff max_degree+1 (word-level normal forms of nested braid
@@ -386,7 +390,10 @@ def _johnson_layers(family: str, n: int, max_degree: int):
     conjugated series and at most one inverse.  Candidates with no inner
     factor are composed by series_endo_commutator, and so is every
     randomized sample of verify_johnson_injectivity, so each run checks the
-    two routes against each other.
+    two routes against each other.  A kept one below the top layer is
+    inverted by series_endo_inverse, a Neumann sum over its own
+    substitution, not composed again as [c, g]; a generator's inverse table
+    stays the word-level one.
     """
     top = max_degree + 1
     gen_series = _generator_series(family, n, top)
@@ -405,20 +412,24 @@ def _johnson_layers(family: str, n: int, max_degree: int):
             )
         taus.append(tau)
     prev_tails = (None,)  # the generators themselves are the degree-1 candidates
+    firsts = []  # the generator index of each layer-1 tail
     for k in range(1, max_degree + 1):
         builder = LatticeBuilder(image_dim(n, k))
         tails = []
         for idx, (g, x, x_pair, tau) in enumerate(zip(gen_series, words, x_pairs, taus), start=1):
             # substitutions of g and g^-1 serve g's whole run of candidates
-            # and are dropped when the run ends; an inner g builds every
-            # candidate by the inner route, which substitutes by neither
-            if x is None:
+            # and are dropped when the run ends; layer 1 substitutes nothing,
+            # and an inner g builds every candidate by the inner route, which
+            # substitutes by neither
+            if x is None and k > 1:
                 subs = SeriesSubstitution(g[0]), SeriesSubstitution(g[1])
             else:
                 subs = None, None
-            for c in prev_tails:
+            for pos, c in enumerate(prev_tails):
                 if c is None:
                     lie = tau
+                elif k == 2 and firsts[pos] <= idx and idx in firsts:
+                    continue  # the mirror of [g_a, g_b], scanned earlier, or zero
                 else:
                     tangents = der_bracket(tau, c.tangents)
                     if not any(t.coeffs for t in tangents):
@@ -447,13 +458,14 @@ def _johnson_layers(family: str, n: int, max_degree: int):
                     )
                 if k == max_degree:
                     continue
+                if k == 1:
+                    firsts.append(idx)
                 if pair is not None:
                     tails.append(_Tail(lie.tangents, conjugator=pair))
                 elif c is None:
                     tails.append(_Tail(lie.tangents, *g))
                 else:
-                    inverse = series_endo_commutator(c.table, c.inverse, *g, b_sub=subs[0])
-                    tails.append(_Tail(lie.tangents, se, inverse))
+                    tails.append(_Tail(lie.tangents, se, series_endo_inverse(se)))
         yield builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
         prev_tails = tails
 
@@ -463,7 +475,10 @@ def _random_commutator_series(gen_series, rng, weight: int, inverse: bool = Fals
 
     Returns (series, inverse series).  The inverse of a commutator is built
     only when asked for, which a parent commutator does for both of its
-    subtrees; otherwise it is None.  Building it draws nothing from rng.
+    subtrees; otherwise it is None.  It is series_endo_inverse of the
+    commutator's own table, so every internal node composes exactly one
+    series_endo_commutator, and it draws nothing from rng.  A generator's
+    inverse is its word-level table from gen_series.
     """
     if weight == 1:
         return gen_series[rng.randrange(len(gen_series))]
@@ -471,7 +486,7 @@ def _random_commutator_series(gen_series, rng, weight: int, inverse: bool = Fals
     a, a_inv = _random_commutator_series(gen_series, rng, split, inverse=True)
     b, b_inv = _random_commutator_series(gen_series, rng, weight - split, inverse=True)
     se = series_endo_commutator(a, a_inv, b, b_inv)
-    return se, series_endo_commutator(b, b_inv, a, a_inv) if inverse else None
+    return se, series_endo_inverse(se) if inverse else None
 
 
 def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) -> SuiteReport:

@@ -32,6 +32,7 @@ from lieforge.magnus import (
     TruncSeries,
     series_endo_commutator,
     series_endo_compose,
+    series_endo_inverse,
     series_inverse,
     series_johnson_image,
     series_mul,
@@ -621,10 +622,57 @@ def test_series_endo_commutator_matches_three_compositions(case):
     subs = {
         "a_sub": SeriesSubstitution(a),
         "a_inv_sub": SeriesSubstitution(a_inv),
-        "b_sub": SeriesSubstitution(b),
     }
     for _ in range(2):
         assert series_endo_commutator(a, a_inv, b, b_inv, **subs).images == want
+
+
+# ---------------------------------------------------------------------------
+# inverse tables by the Neumann sum
+
+
+@pytest.mark.parametrize("family, n", [(f, n) for f in ("Inn", "Pn", "FnPn") for n in (2, 3, 4)])
+def test_series_endo_inverse_of_generators_is_word_level(family, n):
+    for d in range(2, 7):
+        for g, g_inv in _generator_pairs(family, n, d):
+            assert series_endo_inverse(g).images == g_inv.images
+            assert series_endo_inverse(g_inv).images == g.images
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_series_endo_inverse_composes_to_the_identity(d):
+    # products of generators raise degree by one under substitution, so
+    # their sums run longest; commutators raise it by two or more
+    rng = random.Random(d)
+    one = series_endo_identity(3, d).images
+    for family in ("Inn", "Pn", "FnPn"):
+        pairs = _generator_pairs(family, 3, d)
+        tables = [t for pair in pairs for t in pair]
+        cases = list(tables)
+        for _ in range(3):
+            a, b, c = (rng.choice(tables) for _ in range(3))
+            cases.append(series_endo_compose(a, series_endo_compose(b, c)))
+            g, h = rng.choice(pairs), rng.choice(pairs)
+            gh = _commutator_by_compositions(*g, *h), _commutator_by_compositions(*h, *g)
+            cases.append(gh[0])
+            cases.append(_commutator_by_compositions(*rng.choice(pairs), *gh))
+        for se in cases:
+            inv = series_endo_inverse(se)
+            assert series_endo_compose(se, inv).images == one
+            assert series_endo_compose(inv, se).images == one
+
+
+def test_series_endo_inverse_rejects_non_ia_tables():
+    from lieforge.braids import aut_word, evaluate, sym_sigma
+
+    s1 = endo_to_series(evaluate(aut_word(3, sym_sigma(1))), 4)
+    with pytest.raises(NonIAError):
+        series_endo_inverse(s1)
+    # x1 -> x1^2 has 2 X_1 in degree 1, so N raises no degree and the sum
+    # would never end
+    square = SeriesEndo(2, 3, tuple(magnus_expand(word_gen(2, i, 3 - i), 3) for i in (1, 2)))
+    with pytest.raises(NonIAError):
+        series_endo_inverse(square)
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +712,10 @@ def test_series_ops_keep_per_degree_parts(w, d, case, cut):
     before = _snapshot(*inputs)
     composed = series_endo_compose(a, b)
     comm = series_endo_commutator(a, a_inv, b, b_inv)
+    inverse = series_endo_inverse(comm)
     # truncation shares its parts with a, so reading it off must not touch a
     truncated = _series_endo_truncate(a, min(cut, a.max_degree))
-    tables = (composed, comm, truncated)
+    tables = (composed, comm, inverse, truncated)
     for s in (s for t in tables for s in t.images):
         _assert_parts(s)
     assert _snapshot(*inputs) == before

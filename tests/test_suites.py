@@ -540,3 +540,70 @@ def test_failure_is_recorded_not_raised():
     rep.check("always fails", 1, 2)
     assert not rep.passed
     assert rep.failures()[0].description == "always fails"
+
+
+@pytest.mark.parametrize(
+    "family, n, top",
+    [(f, 3, top) for f in ("Inn", "Pn", "FnPn") for top in range(3, 7)]
+    + [(f, 4, 4) for f in ("Inn", "Pn", "FnPn")],
+)
+def test_johnson_tail_inverses_match_reversed_commutators(family, n, top, monkeypatch):
+    # a kept tail [g, c] above layer 1 is inverted by a Neumann sum; it must
+    # equal [c, g] composed from the same factors the other way round
+    from lieforge import suites
+    from lieforge.magnus import series_endo_commutator
+
+    witnesses = []
+
+    def recorded(*args, **kwargs):
+        out = series_endo_commutator(*args, **kwargs)
+        witnesses.append((out, args))
+        return out
+
+    monkeypatch.setattr(suites, "series_endo_commutator", recorded)
+    checked = 0
+    for k, (_, tails, _) in enumerate(suites._johnson_layers(family, n, top), start=1):
+        for tail in tails:
+            if k == 1 or tail.table is None:
+                continue  # a generator's inverse is word-level; an inner tail has no table
+            ((a, a_inv, b, b_inv),) = [args for out, args in witnesses if out is tail.table]
+            assert tail.inverse.images == series_endo_commutator(b, b_inv, a, a_inv).images
+            checked += 1
+    # every Inn tail is inner
+    assert (checked > 0) == (family != "Inn")
+
+
+@pytest.mark.parametrize("family", ["Inn", "Pn", "FnPn"])
+def test_johnson_composes_one_commutator_per_witness_and_sample_node(family, monkeypatch):
+    # series_endo_commutator composes the kept witnesses with no inner
+    # factor and the sample nodes, never an inverse
+    from lieforge import suites
+
+    n, top = 3, 4
+    # the kept set of a layer does not depend on the top degree, so a run one
+    # layer deeper yields the top layer's kept witnesses as tails too
+    deeper = [
+        sum(t.table is not None for t in tails)
+        for _, tails, _ in suites._johnson_layers(family, n, top + 1)
+    ]
+    calls = []
+    commutator = suites.series_endo_commutator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return commutator(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "series_endo_commutator", counted)
+    per_layer = []
+    for _ in suites._johnson_layers(family, n, top):
+        per_layer.append(len(calls))
+        calls.clear()
+    # layer 1 composes nothing: its witnesses are the generators
+    assert per_layer == [0] + deeper[1:top]
+    gen_series = suites._generator_series(family, n, top + 1)
+    for weight in range(1, 7):
+        for seed in range(3):
+            calls.clear()
+            suites._random_commutator_series(gen_series, suites._rng(seed, weight), weight)
+            # a bracketing of weight leaves has weight - 1 internal nodes
+            assert len(calls) == weight - 1
