@@ -10,6 +10,11 @@ generator-image lattice is built from the spanning tangents when a caller
 reads it.  The abstract presentation (infinitesimal braid relations) is
 verified against the realization, never used as the data structure.
 
+The greedy span itself, ``_tangential_layer``, takes any list of degree-1
+tangential generators: the Johnson layers of ``suites`` run it on the
+degree-1 images of each automorphism family (tau1 for P_n, ad(X_i) for
+Inn(F_n), both for Inn.P_n) and compose only the brackets it keeps.
+
 Also hosts the exact Bernoulli / power-sum arithmetic used by the rank
 census.
 """
@@ -90,20 +95,22 @@ def xi_derivation(n: int) -> HomDerivation:
 
 @dataclass(frozen=True)
 class DKComponent:
-    """The degree-k component, through the left-normed brackets that span it.
+    """A degree-k layer, through the left-normed brackets that span it.
 
     ``spanning`` holds the kept brackets by their tangents (t_1..t_n), each
-    t_i of degree k, labelled by ``bracket_generators``.  ``tangent_lattice``
-    is their span in tangential coordinates, those of braidlike_lattice(n,
-    k); ``rank`` reads it.  ``lattice`` is the same span in generator-image
-    coordinates, built from the spanning tangents on first read.
+    t_i of degree k; ``sources`` gives each one's (generator index, position
+    in the previous layer's ``spanning``), the position None at k = 1, where
+    the kept elements are generators.  ``tangent_lattice`` is their span in
+    tangential coordinates, those of braidlike_lattice(n, k); ``rank`` reads
+    it.  ``lattice`` is the same span in generator-image coordinates, built
+    from the spanning tangents on first read.
     """
 
     rank_n: int
     degree: int
     tangent_lattice: IntLattice
-    bracket_generators: tuple[str, ...]
     spanning: tuple[tuple, ...]
+    sources: tuple[tuple[int, int | None], ...]
 
     @property
     def rank(self) -> int:
@@ -122,38 +129,47 @@ def dk_rank_formula(n: int, k: int) -> int:
     return sum(witt_rank(l, k) for l in range(1, n))
 
 
+def _tangential_layer(gens, prev: DKComponent | None, n: int, k: int) -> DKComponent:
+    """Degree-k layer spanned by the degree-1 tangential derivations gens.
+
+    The candidates are the generators at k = 1 (prev is None) and, above,
+    the brackets [g, c] of each generator g with each element c that prev
+    keeps, in that order.  A candidate is kept when its tangent vector
+    enlarges the lattice, so the kept list stays an integral spanning set
+    while the candidate count per degree remains (number of generators) x
+    (previous spanning size).  The tangent-to-image map is injective on
+    tangential coordinates, so a candidate enlarges this lattice exactly
+    when it enlarges the image one, and a zero bracket (degree above k)
+    enlarges neither.
+
+    On layer 2 every c is a kept generator g_a, and [g_b, g_a] with a <= b
+    is skipped before its bracket, as it cannot enlarge the lattice: it is
+    zero for a = b, or the negative of [g_a, g_b], scanned earlier, when g_b
+    was kept; a g_b that was not is a Z-combination of kept g_j, j < b, and
+    each [g_j, g_a] is zero, scanned earlier or minus one that was.
+    """
+    if prev is None:
+        candidates = (((gi, None), g.tangents) for gi, g in enumerate(gens))
+    else:
+        candidates = (
+            ((gi, pos), der_bracket(g, c))
+            for gi, g in enumerate(gens)
+            for pos, c in enumerate(prev.spanning)
+            if not (k == 2 and prev.sources[pos][0] <= gi)
+        )
+    builder = LatticeBuilder(len(tangential_coords(n, k)))
+    kept = [(src, t) for src, t in candidates if builder.add(tangent_vector(n, k, t))]
+    spanning, sources = tuple(t for _, t in kept), tuple(src for src, _ in kept)
+    return DKComponent(n, k, builder.lattice(), spanning, sources)
+
+
 @lru_cache(maxsize=None)
 def dk_component(n: int, k: int) -> DKComponent:
-    """Degree-k component, spanned by left-normed brackets of the generators.
-
-    Only candidates that enlarge the lattice are kept in the spanning list,
-    so the list stays an integral spanning set while the candidate count per
-    degree remains (number of generators) x (previous spanning size).  Each
-    candidate is eliminated by its tangent vector as soon as it is formed;
-    the tangent-to-image map is injective on tangential coordinates, so a
-    candidate enlarges this lattice exactly when it enlarges the image one.
-    """
+    """Degree-k component, spanned by left-normed brackets of the tau1."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    builder = LatticeBuilder(len(tangential_coords(n, k)))
-    labels: list[str] = []
-    spanning: list[tuple] = []
-
-    def keep(lbl, d):
-        if builder.add(tangent_vector(n, k, d)):
-            labels.append(lbl)
-            spanning.append(d)
-
-    if k == 1:
-        for i, j in dk_generator_pairs(n):
-            keep(f"t({i},{j})", tau1(i, j, n).tangents)
-    else:
-        prev = dk_component(n, k - 1)
-        for i, j in dk_generator_pairs(n):
-            g = tau1(i, j, n)
-            for lbl, d in zip(prev.bracket_generators, prev.spanning):
-                keep(f"[t({i},{j}),{lbl}]", der_bracket(g, d))
-    return DKComponent(n, k, builder.lattice(), tuple(labels), tuple(spanning))
+    gens = [tau1(i, j, n) for i, j in dk_generator_pairs(n)]
+    return _tangential_layer(gens, dk_component(n, k - 1) if k > 1 else None, n, k)
 
 
 def check_dk_presentation(n: int) -> dict:

@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .braids import (
@@ -36,13 +37,18 @@ from .derivations import (
     HomDerivation,
     ad_derivation,
     ad_image_lattice,
-    der_bracket,
     der_scale,
     der_vector,
     image_dim,
     tangential_derivation,
 )
-from .dk import der_bracket_of_generators, dk_component, dk_rank_formula, xi_derivation
+from .dk import (
+    _tangential_layer,
+    der_bracket_of_generators,
+    dk_component,
+    dk_rank_formula,
+    xi_derivation,
+)
 from .freelie import (
     LieElement,
     boundary_element,
@@ -86,12 +92,7 @@ from .words import (
     word_inverse,
     word_mul,
 )
-from .zlattice import (
-    LatticeBuilder,
-    lattice_from_rows,
-    lattice_intersect,
-    lattice_member,
-)
+from .zlattice import lattice_from_rows, lattice_intersect, lattice_member
 
 
 @dataclass
@@ -293,12 +294,11 @@ def _conjugating_word(g: AutWord) -> ReducedWord | None:
 
 class _Tail(NamedTuple):
     """A kept commutator below the top layer, holding only what the next
-    layer brackets by: the tangents of its Johnson image and, for an inner
-    one, inn(v), its expansion pair (mu(v), mu(v)^-1) as conjugator, with
-    None for both tables; for any other, its series table and inverse series
-    table, with None as conjugator."""
+    layer composes by: for an inner one, inn(v), its expansion pair
+    (mu(v), mu(v)^-1) as conjugator, with None for both tables; for any
+    other, its series table and inverse series table, with None as
+    conjugator.  Its tangents are its layer's spanning entry."""
 
-    tangents: tuple
     table: SeriesEndo | None = None
     inverse: SeriesEndo | None = None
     conjugator: tuple | None = None
@@ -357,35 +357,27 @@ def _tangential(jd: HomDerivation) -> HomDerivation | None:
 
 
 def _johnson_layers(family: str, n: int, max_degree: int):
-    """Degree-k Johnson-image lattices of weight-k left-normed commutators,
-    yielded as (lattice, tails, scanned) for k = 1..max_degree.
+    """Degree-k Johnson layers of weight-k left-normed commutators, yielded
+    as (component, tails, scanned) for k = 1..max_degree.
 
-    The degree-k tails are the commutators whose image enlarged the lattice,
-    so they span it over Z and bracketing the generators against them spans
-    degree k+1: scanned, the candidate count, is (number of generators) x
-    (previous spanning size).  Only the previous layer's tails are held; the
-    top layer (k == max_degree) yields none, since no layer brackets
-    against it.
+    The Johnson map is a Lie morphism, tau_k([g, c]) = [tau_1(g),
+    tau_{k-1}(c)] (Satoh 2016), so the layers' Lie side is
+    dk._tangential_layer of the generators' degree-1 Johnson images, read
+    off their series and required to be tangential.  component is the
+    layer, with the (generator, tail) source of each spanning bracket;
+    tails[i] is the commutator that witnesses component.spanning[i], and
+    the top layer (k == max_degree) yields none, since nothing brackets
+    against it.  scanned is (number of generators) x (previous spanning
+    size).
 
-    Candidates are screened on the Lie side.  The Johnson map is a Lie
-    morphism, tau_k([g, c]) = [tau_1(g), tau_{k-1}(c)] (Satoh 2016), and
-    every degree-1 image here is tangential, so a candidate's image is the
-    der_bracket of its generator's tau_1 with the tangents its tail carries;
-    a zero bracket means degree above k, and the candidate is skipped.
-    Each generator's tangents are read off its series-side degree-1 Johnson
-    image, which must equal the derivation rebuilt from them.  On layer 2
-    every tail is a kept generator, and [g_b, g_a] with a <= b is skipped
-    before its bracket when g_b was kept: it is zero or the negative of
-    [g_a, g_b], scanned earlier, so it cannot enlarge the lattice.
-
-    Only a candidate that enlarges the lattice is composed, once, at the
-    full cutoff max_degree+1 (word-level normal forms of nested braid
-    commutators grow exponentially, their truncated series tables do not),
-    and read with the checking tensor_to_lyndon: it must have degree k and
-    the bracket as its image, or RuntimeError is raised.  Inn(F_n) is
-    normal, so a commutator with an inner factor is inner: a candidate with
-    an inner tail or an inner generator (one whose symbols all are, x read
-    off them, never assumed from the family) is inner_series_endo of the
+    Only the kept commutators are composed, once, at the full cutoff
+    max_degree+1 (word-level normal forms of nested braid commutators grow
+    exponentially, their truncated series tables do not), and read with
+    the checking tensor_to_lyndon: each must have degree k and its spanning
+    bracket as its image, or RuntimeError is raised.  Inn(F_n) is normal,
+    so a commutator with an inner factor is inner: a candidate with an
+    inner tail or an inner generator (one whose symbols all are, x read off
+    them, never assumed from the family) is inner_series_endo of the
     expansion pair that _inner_conjugator builds from one substituted or
     conjugated series and at most one inverse.  Candidates with no inner
     factor are composed by series_endo_commutator, and so is every
@@ -411,32 +403,23 @@ def _johnson_layers(family: str, n: int, max_degree: int):
                 f"{idx} is not tangential"
             )
         taus.append(tau)
-    prev_tails = (None,)  # the generators themselves are the degree-1 candidates
-    firsts = []  # the generator index of each layer-1 tail
+    comp, prev_tails = None, ()
     for k in range(1, max_degree + 1):
-        builder = LatticeBuilder(image_dim(n, k))
+        scanned = len(taus) * (len(comp.spanning) if comp else 1)
+        comp = _tangential_layer(taus, comp, n, k)
         tails = []
-        for idx, (g, x, x_pair, tau) in enumerate(zip(gen_series, words, x_pairs, taus), start=1):
-            # substitutions of g and g^-1 serve g's whole run of candidates
-            # and are dropped when the run ends; layer 1 substitutes nothing,
-            # and an inner g builds every candidate by the inner route, which
-            # substitutes by neither
+        for gi, run in groupby(zip(comp.sources, comp.spanning), key=lambda s: s[0][0]):
+            g, x, x_pair = gen_series[gi], words[gi], x_pairs[gi]
+            # substitutions of g and g^-1 serve g's whole run of kept
+            # commutators and are dropped when the run ends; layer 1
+            # substitutes nothing, and an inner g builds every commutator by
+            # the inner route, which substitutes by neither
             if x is None and k > 1:
                 subs = SeriesSubstitution(g[0]), SeriesSubstitution(g[1])
             else:
                 subs = None, None
-            for pos, c in enumerate(prev_tails):
-                if c is None:
-                    lie = tau
-                elif k == 2 and firsts[pos] <= idx and idx in firsts:
-                    continue  # the mirror of [g_a, g_b], scanned earlier, or zero
-                else:
-                    tangents = der_bracket(tau, c.tangents)
-                    if not any(t.coeffs for t in tangents):
-                        continue  # [g, c] has degree above k
-                    lie = tangential_derivation(n, k, tangents)
-                if not builder.add(der_vector(lie)):
-                    continue
+            for (_, pos), tangents in run:
+                c = None if pos is None else prev_tails[pos]
                 if c is None:
                     se, pair = g[0], x_pair
                 elif (pair := _inner_conjugator(g, x, x_pair, c, subs[0])) is not None:
@@ -449,24 +432,22 @@ def _johnson_layers(family: str, n: int, max_degree: int):
                 if ro.degree != k:
                     raise RuntimeError(
                         f"{family} Johnson layer {k}: the kept commutator with generator "
-                        f"{idx} has degree {ro.degree}, not {k}"
+                        f"{gi + 1} has degree {ro.degree}, not {k}"
                     )
-                if ro.johnson_image() != lie:
+                if ro.johnson_image() != tangential_derivation(n, k, tangents):
                     raise RuntimeError(
                         f"{family} Johnson layer {k}: the kept commutator with generator "
-                        f"{idx} has a Johnson image other than its Lie bracket"
+                        f"{gi + 1} has a Johnson image other than its Lie bracket"
                     )
                 if k == max_degree:
                     continue
-                if k == 1:
-                    firsts.append(idx)
                 if pair is not None:
-                    tails.append(_Tail(lie.tangents, conjugator=pair))
+                    tails.append(_Tail(conjugator=pair))
                 elif c is None:
-                    tails.append(_Tail(lie.tangents, *g))
+                    tails.append(_Tail(*g))
                 else:
-                    tails.append(_Tail(lie.tangents, se, series_endo_inverse(se)))
-        yield builder.lattice(), tuple(tails), len(gen_series) * len(prev_tails)
+                    tails.append(_Tail(se, series_endo_inverse(se)))
+        yield comp, tuple(tails), scanned
         prev_tails = tails
 
 
@@ -497,12 +478,12 @@ def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) ->
         raise ValueError("need n >= 2 and max_degree >= 1")
     rep = SuiteReport("johnson-injectivity", {"family": family, "n": n, "max_degree": max_degree})
     layers = {}
-    for k, (lattice, _, scanned) in enumerate(_johnson_layers(family, n, max_degree), start=1):
-        layers[k] = lattice
+    for k, (comp, _, scanned) in enumerate(_johnson_layers(family, n, max_degree), start=1):
+        layers[k] = comp
         rep.check(
             f"degree-{k} image lattice rank ({scanned} commutators scanned)",
             _expected_family_rank(family, n, k),
-            lattice.rank,
+            comp.rank,
         )
     # randomized no-counterexample search: a sampled element whose filtration
     # degree is k must have its image inside the degree-k lattice
@@ -522,7 +503,7 @@ def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) ->
             f"sampled element of degree {deg} lies in the degree-{deg} lattice "
             f"(attempt {attempt - 1})",
             True,
-            lattice_member(der_vector(ro.johnson_image()), layers[deg]),
+            lattice_member(der_vector(ro.johnson_image()), layers[deg].lattice),
         )
     if family == "Pn":
         for i in range(1, n + 1):

@@ -7,6 +7,7 @@ from lieforge.derivations import (
     ad_derivation,
     braidlike_image_lattice,
     braidlike_lattice,
+    der_bracket,
     der_scale,
     der_vector,
     ev_boundary,
@@ -46,22 +47,25 @@ from test_derivations import image_bracket
 @lru_cache(maxsize=None)
 def greedy_image_component(n, k):
     """The greedy builder in generator-image coordinates, the oracle for
-    dk_component: image-form brackets, eliminated by der_vector.
+    dk_component: image-form brackets of every generator with every
+    previously kept element, eliminated by der_vector.
 
-    Returns (lattice, labels, spanning derivations).
+    Returns (lattice, sources, spanning derivations), sources in the
+    (generator index, previous position) form of DKComponent.sources.
     """
+    gens = [tau1(i, j, n) for i, j in dk_generator_pairs(n)]
     if k == 1:
-        candidates = [(f"t({i},{j})", tau1(i, j, n)) for i, j in dk_generator_pairs(n)]
+        candidates = [((gi, None), g) for gi, g in enumerate(gens)]
     else:
-        _, prev_labels, prev_spanning = greedy_image_component(n, k - 1)
+        prev_spanning = greedy_image_component(n, k - 1)[2]
         candidates = [
-            (f"[t({i},{j}),{lbl}]", image_bracket(tau1(i, j, n), d))
-            for i, j in dk_generator_pairs(n)
-            for lbl, d in zip(prev_labels, prev_spanning)
+            ((gi, pos), image_bracket(g, d))
+            for gi, g in enumerate(gens)
+            for pos, d in enumerate(prev_spanning)
         ]
     builder = LatticeBuilder(image_dim(n, k))
-    kept = [(lbl, d) for lbl, d in candidates if builder.add(der_vector(d))]
-    return builder.lattice(), tuple(lbl for lbl, _ in kept), tuple(d for _, d in kept)
+    kept = [(src, d) for src, d in candidates if builder.add(der_vector(d))]
+    return builder.lattice(), tuple(src for src, _ in kept), tuple(d for _, d in kept)
 
 
 def image_central_sublattice(n, k):
@@ -149,8 +153,8 @@ def test_dk_component_matches_image_oracle():
     for n, top in ((4, 5), (5, 4)):
         for k in range(1, top + 1):
             comp = dk_component(n, k)
-            lattice, labels, spanning = greedy_image_component(n, k)
-            assert comp.bracket_generators == labels, (n, k)
+            lattice, sources, spanning = greedy_image_component(n, k)
+            assert comp.sources == sources, (n, k)
             assert len(comp.spanning) == len(spanning) == comp.rank, (n, k)
             assert comp.lattice == lattice, (n, k)
             for tangents, d in zip(comp.spanning, spanning):
@@ -170,11 +174,20 @@ def test_dk_tangent_rows_lie_in_braidlike_lattice():
                 assert comp.tangent_lattice == bl, (n, k)
 
 
-def test_bracket_generator_labels():
-    comp = dk_component(3, 2)
-    assert comp.bracket_generators
-    assert all(lbl.startswith("[t(") for lbl in comp.bracket_generators)
-    assert len(comp.spanning) == len(comp.bracket_generators)
+def test_bracket_sources():
+    # each kept element is the bracket of the generator and the previous
+    # layer's element that its source names
+    n = 3
+    gens = [tau1(i, j, n) for i, j in dk_generator_pairs(n)]
+    first = dk_component(n, 1)
+    assert first.sources == tuple((gi, None) for gi in range(len(gens)))
+    assert first.spanning == tuple(g.tangents for g in gens)
+    for k in (2, 3):
+        comp, prev = dk_component(n, k), dk_component(n, k - 1)
+        assert comp.sources
+        assert len(comp.sources) == len(comp.spanning)
+        for (gi, pos), tangents in zip(comp.sources, comp.spanning):
+            assert tangents == der_bracket(gens[gi], prev.spanning[pos])
 
 
 def test_dk_center():

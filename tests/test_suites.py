@@ -124,10 +124,12 @@ def test_johnson_layer_tails_and_inverses(family):
     n, top = 3, 4
     one = series_endo_identity(n, top + 1).images
     triples = []
-    for k, (lattice, tails, scanned) in enumerate(_johnson_layers(family, n, top), start=1):
-        triples.append((scanned, len(tails), lattice.rank))
+    for k, (comp, tails, scanned) in enumerate(_johnson_layers(family, n, top), start=1):
+        triples.append((scanned, len(tails), comp.rank))
+        assert len(tails) == (len(comp.spanning) if k < top else 0)
+        for tangents in comp.spanning:
+            assert lattice_member(der_vector(tangential_derivation(n, k, tangents)), comp.lattice)
         for tail in tails:
-            assert lattice_member(der_vector(tangential_derivation(n, k, tail.tangents)), lattice)
             if tail.conjugator is not None:
                 mu, mu_inv = tail.conjugator
                 assert (tail.table, tail.inverse) == (None, None)
@@ -143,12 +145,12 @@ def _layer_summaries(family, n, top):
     from lieforge.suites import _johnson_layers
 
     out = []
-    for lattice, tails, scanned in _johnson_layers(family, n, top):
+    for comp, tails, scanned in _johnson_layers(family, n, top):
         series = [
-            (tail.tangents, tail.conjugator or (tail.table.images, tail.inverse.images))
-            for tail in tails
+            (tangents, tail.conjugator or (tail.table.images, tail.inverse.images))
+            for tail, tangents in zip(tails, comp.spanning)
         ]
-        out.append(((scanned, len(tails), lattice.rank), series))
+        out.append(((scanned, len(tails), comp.rank), series))
     return out
 
 
@@ -236,18 +238,18 @@ def test_johnson_layers_match_full_cutoff_oracle(family, n, top):
     want = _full_cutoff_layers(family, n, top)
     got = list(_johnson_layers(family, n, top))
     assert len(got) == len(want) == top
-    for k, ((lattice, tails, scanned), (got_lattice, got_tails, got_scanned)) in enumerate(
+    for k, ((lattice, tails, scanned), (comp, got_tails, got_scanned)) in enumerate(
         zip(want, got), start=1
     ):
         assert got_scanned == scanned
-        assert got_lattice.rows == lattice.rows
+        assert comp.lattice.rows == lattice.rows
         if k == top:
             # nothing brackets against the top layer, so it keeps no tails
             assert got_tails == ()
             continue
-        assert len(got_tails) == len(tails)
-        for tail, (se, se_inv) in zip(got_tails, tails):
-            assert tangential_derivation(n, k, tail.tangents) == series_read_off(se).johnson_image()
+        assert len(got_tails) == len(tails) == len(comp.spanning)
+        for tail, tangents, (se, se_inv) in zip(got_tails, comp.spanning, tails):
+            assert tangential_derivation(n, k, tangents) == series_read_off(se).johnson_image()
             if tail.conjugator is None:
                 assert (tail.table, tail.inverse) == (se, se_inv)
             else:
@@ -255,6 +257,31 @@ def test_johnson_layers_match_full_cutoff_oracle(family, n, top):
                 assert (tail.table, tail.inverse) == (None, None)
                 assert inner_series_endo(*tail.conjugator) == se
                 assert inner_series_endo(*reversed(tail.conjugator)) == se_inv
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_johnson_layers_equal_the_lie_side_lattices(n):
+    # the Johnson map is a Lie morphism, so each family's layer is its Lie
+    # side: ad(L_k) for Inn, the braid Lie ring for Pn, and their sum for
+    # Inn.P_n, the paper's step of adding inner automorphisms to P_n
+    from lieforge.derivations import ad_image_lattice
+    from lieforge.dk import dk_component
+    from lieforge.suites import _johnson_layers
+    from lieforge.zlattice import lattice_sum
+
+    top = 4
+    layers = {
+        family: [comp for comp, _, _ in _johnson_layers(family, n, top)]
+        for family in ("Inn", "Pn", "FnPn")
+    }
+    for k in range(1, top + 1):
+        ad, dk = ad_image_lattice(n, k), dk_component(n, k)
+        assert layers["Inn"][k - 1].lattice == ad, (n, k)
+        assert layers["Pn"][k - 1].lattice == dk.lattice, (n, k)
+        assert layers["FnPn"][k - 1].lattice == lattice_sum(ad, dk.lattice), (n, k)
+        # the Pn layer is read off the generator series, dk from tau1
+        assert layers["Pn"][k - 1].tangent_lattice == dk.tangent_lattice, (n, k)
+        assert layers["Pn"][k - 1].spanning == dk.spanning, (n, k)
 
 
 @pytest.mark.parametrize("family", ["Inn", "Pn", "FnPn"])
@@ -272,7 +299,7 @@ def test_johnson_layers_read_off_only_kept_witnesses(family, monkeypatch):
 
     monkeypatch.setattr(suites, "series_read_off", recorded)
     layers = list(suites._johnson_layers(family, 3, 4))
-    assert len(calls) == sum(lattice.rank for lattice, _, _ in layers)
+    assert len(calls) == sum(comp.rank for comp, _, _ in layers)
     assert len(calls) < sum(scanned for _, _, scanned in layers)
     assert set(calls) == {5}
 
@@ -481,10 +508,10 @@ def test_inner_route_matches_general_commutator(case):
     if shape == "[a,inn(w)]":
         g, x, x_pair = a, None, None
         c, w_pair = inner(w)
-        c = _Tail(None, *c, w_pair)
+        c = _Tail(*c, w_pair)
     else:
         g, x_pair = inner(x)
-        c = _Tail(None, *a) if shape == "[inn(x),a]" else _Tail(None, *inner(w)[0], inner(w)[1])
+        c = _Tail(*a) if shape == "[inn(x),a]" else _Tail(*inner(w)[0], inner(w)[1])
     g_sub = SeriesSubstitution(g[0]) if held else None
     mu, mu_inv = _inner_conjugator(g, x, x_pair, c, g_sub)
     assert series_mul(mu, mu_inv).coeffs == {(): 1}
@@ -497,7 +524,7 @@ def test_inner_route_needs_an_inner_factor():
     from lieforge.suites import _generator_series, _inner_conjugator, _Tail
 
     a, b = _generator_series("Pn", 3, 4)[:2]
-    assert _inner_conjugator(a, None, None, _Tail(None, *b), None) is None
+    assert _inner_conjugator(a, None, None, _Tail(*b), None) is None
 
 
 def test_random_commutator_inverse_is_built_on_request():
