@@ -30,7 +30,6 @@ from .freelie import (
     lie_generator,
     lie_neg,
     lie_scale,
-    lie_sub,
     lie_zero,
     lyndon_words,
     standard_factorization,
@@ -43,6 +42,7 @@ from .zlattice import (
     combine,
     lattice_from_rows,
     _relations,
+    _sub_multiple,
 )
 
 
@@ -103,12 +103,7 @@ def apply_derivation(d: HomDerivation, a: LieElement) -> LieElement:
     words = lyndon_words(n, a.degree)
     out: dict[int, int] = {}
     for p, c in a.coeffs.items():
-        for q, v in d.apply_to_word(words[p]).coeffs.items():
-            nv = out.get(q, 0) + c * v
-            if nv:
-                out[q] = nv
-            else:
-                out.pop(q, None)
+        _sub_multiple(out, -c, d.apply_to_word(words[p]).coeffs)
     return LieElement(n, a.degree + d.degree, out)
 
 
@@ -147,24 +142,22 @@ def der_bracket(a: HomDerivation, s: tuple) -> tuple:
         u = apply_derivation(a, sl)
         if tl.coeffs:
             if tl.degree == 1:
-                bt = lie_zero(n, u.degree)
-                for p, c in tl.coeffs.items():
-                    bt = lie_add(bt, lie_scale(lie_bracket(lie_generator(n, p + 1), s[p]), c))
+                rows = {p: lie_bracket(lie_generator(n, p + 1), s[p]).coeffs for p in tl.coeffs}
+                bt = combine(tl.coeffs, rows)
             else:
                 if b is None:
                     b = tangential_derivation(n, sl.degree, s)
-                bt = apply_derivation(b, tl)
-            u = lie_add(lie_sub(u, bt), lie_bracket(tl, sl))
+                bt = apply_derivation(b, tl).coeffs
+            terms = (u.coeffs, bt, lie_bracket(tl, sl).coeffs)
+            u = LieElement(n, u.degree, combine((1, -1, 1), terms))
         out.append(u)
     return tuple(out)
 
 
 def ev_boundary(d: HomDerivation) -> LieElement:
     """d(X_1) + ... + d(X_n), the evaluation on the boundary element."""
-    out = lie_zero(d.rank_n, d.degree + 1)
-    for img in d.images:
-        out = lie_add(out, img)
-    return out
+    images = [img.coeffs for img in d.images]
+    return LieElement(d.rank_n, d.degree + 1, combine([1] * d.rank_n, images))
 
 
 def ad_derivation(x: LieElement) -> HomDerivation:

@@ -31,7 +31,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .zlattice import IntLattice, relations_among
+from .zlattice import IntLattice, relations_among, _sub_multiple
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +226,7 @@ def lie_add(a: LieElement, b: LieElement) -> LieElement:
     if (a.rank_n, a.degree) != (b.rank_n, b.degree):
         raise ValueError("rank or degree mismatch")
     out = dict(a.coeffs)
-    for p, c in b.coeffs.items():
-        nv = out.get(p, 0) + c
-        if nv:
-            out[p] = nv
-        else:
-            out.pop(p, None)
+    _sub_multiple(out, -1, b.coeffs)
     return LieElement(a.rank_n, a.degree, out)
 
 
@@ -268,12 +263,7 @@ def _rewrite(n: int, wa: tuple[int, ...], wb: tuple[int, ...], same) -> dict:
     for x, y, sign in ((u1, u2, 1), (u2, u1, -1)):
         words = lyndon_words(n, len(y) + len(wb))
         for p, c in _basis_bracket(n, y, wb).items():
-            for q, v in same(n, x, words[p]).items():
-                nv = out.get(q, 0) + sign * c * v
-                if nv:
-                    out[q] = nv
-                else:
-                    out.pop(q, None)
+            _sub_multiple(out, -sign * c, same(n, x, words[p]))
     return out
 
 
@@ -303,13 +293,7 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     for pa, ca in a.coeffs.items():
         wa = words_a[pa]
         for pb, cb in b.coeffs.items():
-            c = ca * cb
-            for p, v in _basis_bracket(n, wa, words_b[pb]).items():
-                nv = out.get(p, 0) + c * v
-                if nv:
-                    out[p] = nv
-                else:
-                    out.pop(p, None)
+            _sub_multiple(out, -ca * cb, _basis_bracket(n, wa, words_b[pb]))
     return LieElement(n, a.degree + b.degree, out)
 
 
@@ -318,12 +302,7 @@ def to_tensor(a: LieElement) -> dict:
     words = lyndon_words(a.rank_n, a.degree)
     out: dict[tuple[int, ...], int] = {}
     for p, c in a.coeffs.items():
-        for m, v in tensor_expand_word(words[p]).items():
-            nv = out.get(m, 0) + c * v
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
+        _sub_multiple(out, -c, tensor_expand_word(words[p]))
     return out
 
 

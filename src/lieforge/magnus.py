@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .derivations import HomDerivation
 from .freelie import LieElement, tensor_to_lyndon
 from .words import EndoTable, ReducedWord, endo_identity
+from .zlattice import _sub_multiple
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,6 @@ def _truncated_product(a: list[dict], by_deg: list, d: int) -> list[dict]:
                     else:
                         del dest[key]
     return out
-
-
-def _add_scaled(out: dict, terms: dict, c: int) -> None:
-    """out += c * terms, in place, dropping coefficients that cancel."""
-    for m, v in terms.items():
-        nv = out.get(m, 0) + c * v
-        if nv:
-            out[m] = nv
-        else:
-            del out[m]
 
 
 @lru_cache(maxsize=None)
@@ -255,8 +246,9 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 # Its pair is pair_quotient of two pairs: for the first identity, the pair
 # of a(v) (pair_conjugate when a = inn(x) itself, products only; otherwise
 # one series_substitute of mu(v) by a and one series_inverse) and v's; for
-# the second, x's and the pair of b(x) (series_word_image, b's images along
-# x, and one series_inverse).  This is one series where the general
+# the second, x's and the pair of b(x) (one series_substitute of mu(x) by b
+# and one series_inverse).  Both identities read a word's image under a
+# table through series_substitute alone, one series where the general
 # commutator substitutes whole tables three times.  The Johnson layers
 # (suites._johnson_layers) screen candidates by their Lie bracket and
 # compose only the kept ones, a kept one with an inner factor this way and
@@ -329,7 +321,7 @@ def _substitute(sub: SeriesSubstitution, parts: list[dict]) -> list[dict]:
         for mono, c in part.items():
             for dest, terms in zip(out, prefix(mono)):
                 if terms:
-                    _add_scaled(dest, terms, c)
+                    _sub_multiple(dest, -c, terms)
     return out
 
 
@@ -376,11 +368,11 @@ def series_endo_commutator(
     for i, (s, t) in enumerate(zip(v.images, a_inv.images), start=1):
         diff = [dict(p) for p in s.parts]
         for dest, terms in zip(diff, t.parts):
-            _add_scaled(dest, terms, -1)
+            _sub_multiple(dest, 1, terms)
         # both constant terms are 1, so A(v_i - a_inv_i) has none
         parts = _substitute(a_sub, diff)
         parts[0] = {(): 1}
-        _add_scaled(parts[1], {(i,): 1}, 1)
+        _sub_multiple(parts[1], -1, {(i,): 1})
         images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
 
@@ -395,7 +387,7 @@ def _excess(sub: SeriesSubstitution, parts: list[dict], scale: int) -> list[dict
         for mono, c in part.items():
             for dest, terms in zip(out[k + 1 :], sub.prefix(mono)[k + 1 :]):
                 if terms:
-                    _add_scaled(dest, terms, scale * c)
+                    _sub_multiple(dest, -scale * c, terms)
     return out
 
 
@@ -421,7 +413,7 @@ def series_endo_inverse(se: SeriesEndo) -> SeriesEndo:
         parts = [{(): 1}, {(i,): 1}] + [dict(part) for part in term[2:]]
         while any(term := _excess(sub, term, -1)):
             for dest, terms in zip(parts, term):
-                _add_scaled(dest, terms, 1)
+                _sub_multiple(dest, -1, terms)
         images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
 
@@ -439,7 +431,7 @@ def series_inverse(s: TruncSeries) -> TruncSeries:
         if not any(power):
             break
         for dest, terms in zip(out, power):
-            _add_scaled(dest, terms, 1)
+            _sub_multiple(dest, -1, terms)
     return TruncSeries(n, d, out)
 
 
@@ -460,21 +452,6 @@ def inner_series_endo(mu: TruncSeries, mu_inv: TruncSeries | None = None) -> Ser
         parts[0] = {(): 1}
         images.append(TruncSeries(n, d, parts))
     return SeriesEndo(n, d, tuple(images))
-
-
-def series_word_image(se: SeriesEndo, w: ReducedWord) -> TruncSeries:
-    """mu(phi(w)) for the automorphism phi with series table se: the product
-    of its images along w's letters, an image inverted for a negative one."""
-    n, d = se.rank_n, se.max_degree
-    if w.rank_n != n:
-        raise ValueError("word rank mismatch")
-    parts = _unit_parts(d)
-    for g, e in w.letters:
-        image = se.images[g - 1] if e > 0 else series_inverse(se.images[g - 1])
-        factor = _by_degree(image.parts)
-        for _ in range(abs(e)):
-            parts = _truncated_product(parts, factor, d)
-    return TruncSeries(n, d, parts)
 
 
 def series_substitute(

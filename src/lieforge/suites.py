@@ -76,7 +76,6 @@ from .magnus import (
     series_johnson_image,
     series_read_off,
     series_substitute,
-    series_word_image,
     word_read_off,
 )
 from .words import (
@@ -324,7 +323,7 @@ def _inner_conjugator(g, x, x_pair, c, g_sub):
         return pair_quotient(gv, v)
     if x is not None:
         # [inn(x), c] = inn(x c(x)^-1)
-        cx = series_word_image(c.table, x)
+        cx = series_substitute(c.table, x_pair[0])
         return pair_quotient(x_pair, (cx, series_inverse(cx)))
     return None
 

@@ -13,6 +13,18 @@ row-style Hermite basis, which decides equality, is built from them by
 back-substitution the first time a caller compares, hashes or prints a
 lattice, and the dense ``IntLattice.basis`` matrix only when a caller reads
 it.
+
+Every layer adds c times one sparse vector into another: lattice rows here,
+Lie brackets, tensor expansions and derivation images in ``freelie`` and
+``derivations``, and truncated series in ``magnus``.  They all call one
+kernel, ``_sub_multiple`` (v -= q * row in place, cancelled keys dropped,
+row only read), or ``combine`` built on it.  The kernel stays private, so a
+profiler that wraps each public function does not time every accumulate.
+Three loops of that shape stay apart because each does more per key:
+``magnus._truncated_product`` (and ``freelie._tensor_commutator``) make
+each key as the concatenation of two monomials, ``magnus._times_letter_power``
+grows a key one letter at a time along a binomial row, and
+``freelie.tensor_to_lyndon`` pushes each key it creates onto its heap.
 """
 
 from __future__ import annotations
@@ -84,7 +96,7 @@ def _sparse(vec, ambient: int) -> dict[int, int]:
 
 
 def _sub_multiple(v: dict, q: int, row: dict) -> None:
-    """v -= q * row in place, dropping entries that cancel."""
+    """v -= q * row in place, dropping entries that cancel; row is only read."""
     for t, x in row.items():
         nv = v.get(t, 0) - q * x
         if nv:

@@ -280,3 +280,22 @@ def test_central_sublattice_cache():
             assert cached.basis.rows == cached.rank
             assert cached.rows == rows and hash(cached) == digest
             assert _central_sublattice(n, k) == _central_sublattice.__wrapped__(n, k)
+
+
+def test_dk_star_center_refuses_a_center_outside_span_xi(monkeypatch, capsys):
+    import lieforge.dk as dk
+    from lieforge.cli import main
+    from lieforge.zlattice import zero_lattice
+
+    def center_outside_xi(n, max_degree):
+        outside = lattice_from_rows([der_vector(tau1(1, 2, n))], image_dim(n, 1))
+        higher = {k: zero_lattice(image_dim(n, k)) for k in range(2, max_degree + 1)}
+        return {1: outside, **higher}
+
+    monkeypatch.setattr(dk, "dk_center", center_outside_xi)
+    with pytest.raises(RuntimeError, match="not inside span"):
+        dk_star_center(3, 2)
+    assert main(["center", "--object", "dk-star", "--n", "3", "--max-degree", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: dk-star center (n = 3)")

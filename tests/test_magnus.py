@@ -37,6 +37,7 @@ from lieforge.magnus import (
     series_johnson_image,
     series_mul,
     series_read_off,
+    series_substitute,
     word_read_off,
     _by_degree,
     _times_letter_power,
@@ -44,10 +45,12 @@ from lieforge.magnus import (
 )
 from lieforge.words import (
     EndoTable,
+    endo_apply,
     endo_compose,
     endo_identity,
     endo_inner,
     exponent_sums,
+    parse_word,
     word_commutator,
     word_from_pairs,
     word_gen,
@@ -187,7 +190,6 @@ def test_inner_degree_equality_sampled():
 def test_full_filtration_sampled():
     # for phi of degree j and u of degree i, phi(u)u^-1 lands in degree >= i+j
     from lieforge.braids import chi_table, evaluate, xi_word
-    from lieforge.words import endo_apply
 
     rng = random.Random(47)
     n = 3
@@ -831,3 +833,40 @@ def test_read_off_of_sigma_tables_names_the_generator():
                 with pytest.raises(NonIAError, match=f"image of x{bad} shifts the abelianization"):
                     series_read_off(se)
 
+
+
+# ---------------------------------------------------------------------------
+# a word's image under a table, by one substitution
+
+
+def _substitution_tables(n):
+    """IA tables (pure braids and inner automorphisms) and non-IA ones
+    (sigma_i), each with a name for failure messages."""
+    from lieforge.braids import pure_a_table, sigma_table
+
+    tables = [(f"A({i},{j})^{s}", pure_a_table(i, j, n, s), True)
+              for i in range(1, n + 1) for j in range(i + 1, n + 1) for s in (1, -1)]
+    tables += [(f"inn({text})", endo_inner(parse_word(n, text)), True)
+               for text in ("x1", "x2^-1 x1^2", "x1 x3^-1 x2")]
+    tables += [(f"sigma{i}^{s}", sigma_table(i, n, s), False)
+               for i in range(1, n) for s in (1, -1)]
+    return tables
+
+
+SUBSTITUTED_WORDS = ("x1", "x2^-1", "x1^3 x3^-2", "x2 x1^-1 x3^2 x1", "x3^-1 x2^-2 x1 x2")
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_series_substitute_is_the_image_of_the_word(d):
+    n = 3
+    for name, e, ia in _substitution_tables(n):
+        se = endo_to_series(e, d)
+        sub = SeriesSubstitution(se)
+        # the shortcut above the cutoff is on for IA tables and off otherwise
+        assert (sub.keep < d) == ia, name
+        for text in SUBSTITUTED_WORDS:
+            w = parse_word(n, text)
+            want = magnus_expand(endo_apply(e, w), d)
+            got = series_substitute(se, magnus_expand(w, d))
+            assert got == want, (name, text, d)
+            assert series_substitute(se, magnus_expand(w, d), sub) == want, (name, text, d)

@@ -482,3 +482,47 @@ def test_canonical_shape_of_larger_lattices():
         assert all(x > 0 for x in pivots.values())
         for row in lat.rows:
             assert all(0 <= x < pivots[j] for j, x in row[1:] if j in pivots)
+
+
+def test_sub_multiple_never_writes_into_its_row():
+    """The one accumulate kernel only reads its row: cached basis brackets
+    and tensor expansions pass through it as rows, so any write would
+    corrupt every later bracket that reads them."""
+    import copy
+
+    from lieforge.dk import dk_component
+    from lieforge.freelie import (
+        LieElement,
+        _basis_bracket,
+        lie_add,
+        lie_bracket,
+        lie_neg,
+        lyndon_words,
+        tensor_expand_word,
+        to_tensor,
+    )
+
+    n = 4
+    dk_component.__wrapped__(4, 3)
+    elements = [
+        LieElement(n, k, {p: (-1) ** p * (p + 1) for p in range(len(lyndon_words(n, k)))})
+        for k in (1, 2, 3)
+    ]
+    tensors = [to_tensor(a) for a in elements]
+    words = [w for k in (1, 2, 3) for w in lyndon_words(n, k)]
+    brackets = {
+        (u, v): _basis_bracket(n, u, v) for u in words for v in words if len(u) + len(v) <= 4
+    }
+    expansions = {w: tensor_expand_word(w) for w in words}
+    before = copy.deepcopy((brackets, expansions))
+    for a in elements:
+        # [a, a] cancels term by term, [a, b] + [b, a] as a whole
+        assert lie_bracket(a, a).is_zero()
+        for b in elements:
+            if a.degree + b.degree <= 4:
+                assert lie_add(lie_bracket(a, b), lie_bracket(b, a)).is_zero()
+        assert to_tensor(lie_add(a, lie_neg(a))) == {}
+    assert [to_tensor(a) for a in elements] == tensors
+    assert (brackets, expansions) == before
+    assert all(_basis_bracket(n, *key) is row for key, row in brackets.items())
+    assert all(tensor_expand_word(w) is row for w, row in expansions.items())
