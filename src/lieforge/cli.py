@@ -21,7 +21,7 @@ import sys
 
 from . import braids, dk, suites
 from .derivations import (
-    braidlike_lattice,
+    braidlike_rank,
     braidlike_rank_formula,
     tangential_coords,
     tangential_rank_formula,
@@ -124,7 +124,7 @@ def cmd_ranks(args) -> int:
             computed = dk.dk_component(args.n, k).rank
             formula = dk.dk_rank_formula(args.n, k)
         elif args.object == "der-t-boundary":
-            computed = braidlike_lattice(args.n, k).rank
+            computed = braidlike_rank(args.n, k)
             formula = braidlike_rank_formula(args.n, k)
         elif args.object == "tangential":
             computed = len(tangential_coords(args.n, k))

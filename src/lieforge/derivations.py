@@ -4,7 +4,9 @@ A homogeneous derivation of degree k is stored through its images of the
 generators X_1..X_n, which are homogeneous of degree k+1.  Tangential
 derivations (X_i -> [X_i, t_i]) and the boundary evaluation delta ->
 delta(X_1 + ... + X_n) carve out the braid-like ones; every rank and
-intersection question becomes an integer-lattice question.
+intersection question becomes an integer-lattice question.  The braid-like
+rank is read off the boundary evaluation's image by rank-nullity
+(``braidlike_rank``); the tests keep the whole relation lattice as its oracle.
 
 Two coordinate systems serve the lattices.  Generator-image coordinates
 (``der_vector``) concatenate the Lyndon rows of the images X_i -> d(X_i);
@@ -41,7 +43,6 @@ from .zlattice import (
     LatticeBuilder,
     combine,
     lattice_from_rows,
-    _relations,
     _sub_multiple,
 )
 
@@ -241,25 +242,27 @@ def _boundary_brackets(n: int, k: int):
         yield _fresh_bracket(n, (i,), u)
 
 
-@lru_cache(maxsize=None)
-def braidlike_lattice(n: int, k: int) -> IntLattice:
-    """Saturated kernel of the boundary evaluation, in tangential coordinates.
+def _boundary_image(n: int, k: int) -> LatticeBuilder:
+    """The boundary evaluation's image, the brackets eliminated as they come."""
+    image = LatticeBuilder(witt_rank(n, k + 1))
+    for row in _boundary_brackets(n, k):
+        image._insert(row)
+    return image
 
-    The coordinate (i, u) evaluates to [X_i, u], so the kernel is the
-    relations among those brackets.  Their Lyndon positions are already
-    columns 0..witt_rank(n, k+1)-1, so the brackets go into the elimination
-    as they are made, one at a time, and none is kept or cached.
+
+def braidlike_rank(n: int, k: int) -> int:
+    """Rank of the degree-k braid-like derivations, by rank-nullity.
+
+    They are the kernel of the boundary evaluation on tangential coordinates,
+    so their rank is the coordinate count minus the rank of its image.
     """
-    rows = _boundary_brackets(n, k)
-    return _relations(rows, witt_rank(n, k + 1), len(tangential_coords(n, k)))
+    return len(tangential_coords(n, k)) - _boundary_image(n, k).rank
 
 
 def ev_boundary_surjective(n: int, k: int) -> bool:
     """Whether degree-k tangential derivations evaluate onto all of degree k+1."""
-    dim = witt_rank(n, k + 1)
-    image = LatticeBuilder(dim)
-    for row in _boundary_brackets(n, k):
-        image.add(row)
+    image = _boundary_image(n, k)
+    dim = image.ambient
     return image.rank == dim and all(image.contains({p: 1}) for p in range(dim))
 
 
@@ -276,18 +279,6 @@ def der_vector(d: HomDerivation) -> dict[int, int]:
         for p, c in img.coeffs.items():
             out[i * block + p] = c
     return out
-
-
-@lru_cache(maxsize=None)
-def braidlike_image_lattice(n: int, k: int) -> IntLattice:
-    """The braid-like derivations of degree k, in generator-image coordinates."""
-    block = witt_rank(n, k + 1)
-    images = [
-        {(i - 1) * block + p: v for p, v in row.items()}
-        for (i, _), row in zip(tangential_coords(n, k), _boundary_brackets(n, k))
-    ]
-    rows = (combine(tv, images) for tv in braidlike_lattice(n, k).pivot_rows.values())
-    return lattice_from_rows(rows, image_dim(n, k))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ degree-k component is the lattice spanned by left-normed brackets of those
 generators.  Every element is tangential, X_i -> [X_i, t_i], so it is
 carried by its tangents t_1..t_n: brackets are taken in them
 (``der_bracket``) and the component is eliminated incrementally in
-tangential coordinates, the coordinates of ``braidlike_lattice``.  The
+tangential coordinates, labelled by ``tangential_coords``.  The
 generator-image lattice is built from the spanning tangents when a caller
 reads it.  The abstract presentation (infinitesimal braid relations) is
 verified against the realization, never used as the data structure.
@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .derivations import (
     HomDerivation,
-    braidlike_lattice,
+    braidlike_rank,
     braidlike_rank_formula,
     der_add,
     der_bracket,
@@ -101,9 +101,9 @@ class DKComponent:
     t_i of degree k; ``sources`` gives each one's (generator index, position
     in the previous layer's ``spanning``), the position None at k = 1, where
     the kept elements are generators.  ``tangent_lattice`` is their span in
-    tangential coordinates, those of braidlike_lattice(n, k); ``rank`` reads
-    it.  ``lattice`` is the same span in generator-image coordinates, built
-    from the spanning tangents on first read.
+    tangential coordinates, labelled by tangential_coords(n, k); ``rank``
+    reads it.  ``lattice`` is the same span in generator-image coordinates,
+    built from the spanning tangents on first read.
     """
 
     rank_n: int
@@ -275,7 +275,7 @@ def dk_rank_closed_form_deg3(n: int) -> int:
 
 def cokernel_census(n: int, k: int) -> dict:
     """Exact ranks of braid-like versus braid derivations plus the gap."""
-    rank_bl = braidlike_lattice(n, k).rank
+    rank_bl = braidlike_rank(n, k)
     rank_dk = dk_component(n, k).rank
     report = {
         "n": n,

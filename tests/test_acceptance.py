@@ -7,6 +7,7 @@ the offending values.
 
 from fractions import Fraction
 
+from braidlike_oracle import braidlike_image_lattice, braidlike_lattice
 from lieforge.braids import (
     boundary,
     braid_abelianize,
@@ -16,8 +17,7 @@ from lieforge.braids import (
 )
 from lieforge.derivations import (
     ad_image_lattice,
-    braidlike_image_lattice,
-    braidlike_lattice,
+    braidlike_rank,
     braidlike_rank_formula,
     der_vector,
     ev_boundary_surjective,
@@ -69,6 +69,7 @@ def test_criterion_02_braidlike_ranks():
             got = braidlike_lattice(n, k).rank
             want = braidlike_rank_formula(n, k)
             assert got == want, (n, k, got, want)
+            assert braidlike_rank(n, k) == got, (n, k)
             assert ev_boundary_surjective(n, k), (n, k)
     _report(2, "boundary-killing tangential ranks match n*d(n,k) - d(n,k+1), "
                "boundary evaluation surjective, n <= 5, k <= 5")

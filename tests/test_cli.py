@@ -14,6 +14,7 @@ from lieforge.braids import (
     sym_a,
     xi_word,
 )
+from lieforge.freelie import witt_rank
 from lieforge.words import endo_equal, endo_inner, parse_word
 
 
@@ -270,6 +271,12 @@ PINNED_STDOUT = {
         "ca07ef9e5721a7b0a27820b4a9e96ce668d0d09dad31cb4ce55684426597f22c",
     "degree --n 3 --max-degree 5 --word 'x1 x2 x1^-1 x2^-1 x3 x2 x1 x2^-1 x1^-1 x3^-1'":
         "7803cec1e44ecc19d0b469d6d6fbcb9840178ff21d11f8c6e36a9ef18859d948",
+    "ranks --object der-t-boundary --n 1 --max-degree 2":
+        "10773d3324e973718de12576b0288594175860940e49cb01754e9378353bf231",
+    "ranks --object der-t-boundary --n 3 --max-degree 0":
+        "74b979786c11cbe1edc3a3713ab605e433d4caa1787e37883829147e09381aad",
+    "ranks --object der-t-boundary --n 7 --max-degree 5":
+        "19771b6eb8a66ec6946ac92296dd6c59db3085a95aa620191c065331e69d852a",
 }
 
 
@@ -278,6 +285,58 @@ def test_pinned_stdout(capsys, op):
     code, out, _ = run_cli(capsys, *shlex.split(op))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op]
+
+
+def test_braidlike_ranks_of_no_generators_are_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "ranks", "--object", "der-t-boundary",
+                             "--n", "0", "--max-degree", "2")
+    assert (code, out, err) == (2, "", "error: need n >= 1 and k >= 1\n")
+
+
+def test_rank_commands_form_no_relation_lattice(capsys, monkeypatch):
+    # the braid-like ranks come from the boundary images alone: with every
+    # relation route raising, the ranks and census print their pinned
+    # bytes, and no builder is wider than a Lyndon basis of degree k + 1
+    import lieforge.zlattice as zlattice
+    from lieforge import dk, freelie
+
+    def forbidden(*args):
+        raise AssertionError("a relation lattice was formed")
+
+    monkeypatch.setattr(zlattice, "_relations", forbidden)
+    for mod in (zlattice, dk, freelie):
+        monkeypatch.setattr(mod, "relations_among", forbidden)
+    widths = []
+    init = zlattice.LatticeBuilder.__init__
+
+    def recording_init(self, ambient_dim):
+        widths.append(ambient_dim)
+        init(self, ambient_dim)
+
+    monkeypatch.setattr(zlattice.LatticeBuilder, "__init__", recording_init)
+    op = "ranks --object der-t-boundary --n 4 --max-degree 5"
+    code, out, _ = run_cli(capsys, *shlex.split(op))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op]
+    assert widths == [witt_rank(4, k + 1) for k in range(1, 6)]
+    op = "census --n-range 3..5 --degree 4"
+    code, out, _ = run_cli(capsys, *shlex.split(op))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[op]
+
+
+def test_braidlike_rank_is_computed_not_read_off_the_formula(capsys, monkeypatch):
+    # with no boundary images the rank is the whole coordinate count, which
+    # disagrees with the formula in every degree
+    from lieforge import derivations
+
+    monkeypatch.setattr(derivations, "_boundary_brackets", lambda n, k: iter(()))
+    code, out, _ = run_cli(capsys, "ranks", "--object", "der-t-boundary",
+                           "--n", "3", "--max-degree", "3")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [r["computed"] for r in rows] == [6, 9, 24]
+    assert not any(r["match"] for r in rows)
 
 
 def test_shared_parser_survives_errors_and_help(capsys, monkeypatch):

@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidlike_oracle import braidlike_image_lattice, braidlike_lattice
 from lieforge.derivations import (
     HomDerivation,
     ad_derivation,
     ad_image_lattice,
     apply_derivation,
-    braidlike_image_lattice,
-    braidlike_lattice,
+    braidlike_rank,
     braidlike_rank_formula,
     der_add,
     der_bracket,
@@ -196,6 +196,15 @@ def test_braidlike_lattice_matches_relations_among(n, k):
     assert got.ambient_dim == want.ambient_dim
 
 
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in range(2, 6) for k in range(1, 6)] + [(4, 6), (6, 4)]
+)
+def test_braidlike_rank_matches_the_relation_lattice(n, k):
+    # rank-nullity against the saturated kernel that keeps every relation
+    assert braidlike_rank(n, k) == braidlike_lattice(n, k).rank
+    assert braidlike_rank(n, k) == braidlike_rank_formula(n, k)
+
+
 def test_kernel_degree_stays_out_of_the_bracket_cache(monkeypatch):
     # every call into the bracket cache goes through the module attribute,
     # so a recorder there sees them all: building a degree-5 kernel may
@@ -208,7 +217,7 @@ def test_kernel_degree_stays_out_of_the_bracket_cache(monkeypatch):
         return cached(n, wa, wb)
 
     monkeypatch.setattr(freelie, "_basis_bracket", recorder)
-    builds = (braidlike_lattice.__wrapped__, ev_boundary_surjective,
+    builds = (braidlike_rank, braidlike_lattice.__wrapped__, ev_boundary_surjective,
               braidlike_image_lattice.__wrapped__)
     for build in builds:
         cached.cache_clear()

@@ -3,10 +3,9 @@ from functools import lru_cache
 
 import pytest
 
+from braidlike_oracle import braidlike_image_lattice, braidlike_lattice
 from lieforge.derivations import (
     ad_derivation,
-    braidlike_image_lattice,
-    braidlike_lattice,
     der_bracket,
     der_scale,
     der_vector,

@@ -424,8 +424,9 @@ def test_echelon_first_lattices_against_canonical_oracles(case, other_case):
 def test_rank_leaves_the_dense_basis_unbuilt(monkeypatch):
     from functools import lru_cache
 
+    from braidlike_oracle import braidlike_lattice
     from lieforge import cli, dk as dk_module
-    from lieforge.derivations import braidlike_lattice, braidlike_rank_formula
+    from lieforge.derivations import braidlike_rank_formula
     from lieforge.dk import dk_center, dk_component, dk_rank_formula, dk_star_center
 
     # no rank, center, sum or intersection path reads the canonical rows or
@@ -474,7 +475,7 @@ def test_rank_leaves_the_dense_basis_unbuilt(monkeypatch):
 def test_canonical_shape_of_larger_lattices():
     # back-substitution chains through several pivots, which the small random
     # matrices above rarely produce
-    from lieforge.derivations import braidlike_lattice
+    from braidlike_oracle import braidlike_lattice
     from lieforge.dk import dk_component
 
     for lat in (braidlike_lattice(4, 5), dk_component(4, 5).lattice):
