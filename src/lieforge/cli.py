@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: witt, ranks, census, center, degree, expand, verify.  All output
-is machine readable (json or tsv), all numbers exact, and identical argv plus
-seed produce byte-identical stdout.  Exit codes: 0 success, 1 a binding check
-or verification failed, 2 usage error, 3 internal error (a cross-check between
-two routes of one computation disagreed, a bug in lieforge rather than a
+is machine readable (json or tsv; verify always prints one json document),
+all numbers exact, and identical argv plus seed produce byte-identical
+stdout.  Exit codes: 0 success, 1 a binding check or verification failed, 2
+usage error, or an input too large for memory ("error: out of memory" on
+stderr, nothing on stdout), 3 internal error (a cross-check between two
+routes of one computation disagreed, a bug in lieforge rather than a
 mathematical finding; the message goes to stderr as "internal error: ...").
 
 The argument parser is built once per process, on the first call of main,
@@ -330,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=("inner", "center-pn", "quotient", "johnson",
                                       "key-theorem", "triangular", "all"))
-    common(sp)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--max-degree", type=int, default=4, dest="max_degree")
     sp.add_argument("--family", choices=("Inn", "Pn", "FnPn"), default="Pn")
     sp.add_argument("--samples", type=int, default=60)
     sp.add_argument("--seed", type=int, default=42)
@@ -358,6 +361,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except RuntimeError as e:
         print(f"internal error: {e}", file=sys.stderr)

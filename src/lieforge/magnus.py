@@ -240,23 +240,16 @@ def _slice_class(s: TruncSeries, k: int) -> LieElement:
 #
 # Inner automorphisms need no table arithmetic at all.  inn(w) is carried by
 # the expansion pair (mu(w), mu(w)^-1) of its word, and inner_series_endo
-# builds its table from that pair.  Inn(F_n) is normal, so a commutator with
-# an inner factor is inner, with a conjugating word in closed form:
-#   [a, inn(v)] = inn(a(v) v^-1)  and  [inn(x), b] = inn(x b(x)^-1).
-# Its pair is pair_quotient of two pairs: for the first identity, the pair
-# of a(v) (pair_conjugate when a = inn(x) itself, products only; otherwise
-# one series_substitute of mu(v) by a and one series_inverse) and v's; for
-# the second, x's and the pair of b(x) (one series_substitute of mu(x) by b
-# and one series_inverse).  Both identities read a word's image under a
-# table through series_substitute alone, one series where the general
-# commutator substitutes whole tables three times.  The Johnson layers
-# (suites._johnson_layers) screen candidates by their Lie bracket and
-# compose only the kept ones, a kept one with an inner factor this way and
-# the rest with series_endo_commutator; a kept inner one goes to the next
-# layer by its pair alone, any other with its series_endo_inverse (the top
-# layer's go nowhere: nothing brackets against them).  Their randomized
-# samples keep series_endo_commutator, so the two routes check each other
-# on every run.
+# builds its table from that pair.  Two inner ones have an inner commutator,
+# [inn(x), inn(v)] = inn(x v x^-1 v^-1), whose pair pair_commutator forms
+# from theirs by six products: no substitution and no series inverse.  The
+# Johnson layers (suites._johnson_layers) screen candidates by their Lie
+# bracket and compose only the kept ones, a kept one with both factors inner
+# this way and any other with series_endo_commutator; a kept inner one goes
+# to the next layer by its pair alone, any other with its
+# series_endo_inverse (the top layer's go nowhere: nothing brackets against
+# them).  Their randomized samples keep series_endo_commutator, so the two
+# routes check each other on every run.
 
 
 @dataclass
@@ -454,25 +447,13 @@ def inner_series_endo(mu: TruncSeries, mu_inv: TruncSeries | None = None) -> Ser
     return SeriesEndo(n, d, tuple(images))
 
 
-def series_substitute(
-    a: SeriesEndo, s: TruncSeries, sub: SeriesSubstitution | None = None
-) -> TruncSeries:
-    """mu(a(w)) from s = mu(w): one substitution X_j -> S_j - 1 of a's images
-    into s (by sub when given, a SeriesSubstitution of a)."""
-    if (a.rank_n, a.max_degree) != (s.rank_n, s.max_degree):
-        raise ValueError("series mismatch")
-    return TruncSeries(s.rank_n, s.max_degree, _substitute(_substitution_for(a, sub), s.parts))
-
-
-def pair_quotient(p: tuple, q: tuple) -> tuple:
-    """Expansion pair of p q^-1 from the pairs (mu(p), mu(p)^-1), (mu(q), mu(q)^-1)."""
-    return series_mul(p[0], q[1]), series_mul(q[0], p[1])
-
-
-def pair_conjugate(w: tuple, u: tuple) -> tuple:
-    """Expansion pair of w u w^-1, the image of u under inn(w), from the pairs
-    of w and u: products only, no series inverse."""
-    return series_mul(series_mul(w[0], u[0]), w[1]), series_mul(series_mul(w[0], u[1]), w[1])
+def pair_commutator(p: tuple, q: tuple) -> tuple:
+    """Expansion pair of p q p^-1 q^-1 from the pairs (mu(p), mu(p)^-1) and
+    (mu(q), mu(q)^-1): six products, no series inverse."""
+    return (
+        series_mul(series_mul(series_mul(p[0], q[0]), p[1]), q[1]),
+        series_mul(q[0], series_mul(series_mul(p[0], q[1]), p[1])),
+    )
 
 
 class NonIAError(ValueError):

@@ -66,16 +66,13 @@ from .magnus import (
     inner_series_endo,
     johnson_image,
     magnus_expand,
-    pair_conjugate,
-    pair_quotient,
+    pair_commutator,
     same_degree,
     series_a_degree,
     series_endo_commutator,
     series_endo_inverse,
-    series_inverse,
     series_johnson_image,
     series_read_off,
-    series_substitute,
     word_read_off,
 )
 from .words import (
@@ -302,30 +299,12 @@ class _Tail(NamedTuple):
     inverse: SeriesEndo | None = None
     conjugator: tuple | None = None
 
-
-def _inner_conjugator(g, x, x_pair, c, g_sub):
-    """Expansion pair of the conjugating word of the commutator [g, c] when c
-    is an inner tail inn(v) or g = inn(x), else None.
-
-    g is a generator's (table, inverse), x its conjugating word or None and
-    x_pair the expansion pair of x; c is a _Tail, all at one cutoff.  g_sub,
-    a SeriesSubstitution of g's table or None, is used only when g is not
-    inner and c is.
-    """
-    if c.conjugator is not None:
-        # [g, inn(v)] = inn(g(v) v^-1)
-        v = c.conjugator
-        if x is not None:
-            gv = pair_conjugate(x_pair, v)
-        else:
-            gv = series_substitute(g[0], v[0], g_sub)
-            gv = gv, series_inverse(gv)
-        return pair_quotient(gv, v)
-    if x is not None:
-        # [inn(x), c] = inn(x c(x)^-1)
-        cx = series_substitute(c.table, x_pair[0])
-        return pair_quotient(x_pair, (cx, series_inverse(cx)))
-    return None
+    def tables(self) -> tuple:
+        """(table, inverse table), built from the pair for an inner tail:
+        inn(v)^-1 = inn(v^-1), whose pair is v's reversed."""
+        if self.conjugator is None:
+            return self.table, self.inverse
+        return inner_series_endo(*self.conjugator), inner_series_endo(*self.conjugator[::-1])
 
 
 def _tangential(jd: HomDerivation) -> HomDerivation | None:
@@ -373,25 +352,40 @@ def _johnson_layers(family: str, n: int, max_degree: int):
     max_degree+1 (word-level normal forms of nested braid commutators grow
     exponentially, their truncated series tables do not), and read with
     the checking tensor_to_lyndon: each must have degree k and its spanning
-    bracket as its image, or RuntimeError is raised.  Inn(F_n) is normal,
-    so a commutator with an inner factor is inner: a candidate with an
-    inner tail or an inner generator (one whose symbols all are, x read off
-    them, never assumed from the family) is inner_series_endo of the
-    expansion pair that _inner_conjugator builds from one substituted or
-    conjugated series and at most one inverse.  Candidates with no inner
-    factor are composed by series_endo_commutator, and so is every
-    randomized sample of verify_johnson_injectivity, so each run checks the
-    two routes against each other.  A kept one below the top layer is
-    inverted by series_endo_inverse, a Neumann sum over its own
-    substitution, not composed again as [c, g]; a generator's inverse table
-    stays the word-level one.
+    bracket as its image, or RuntimeError is raised, as it is when a
+    witness cannot be read at all (any ValueError of the read-off,
+    NonIAError included).  The route depends only on the shape.  A
+    generator is inner when all its symbols are (its word is read off them,
+    never assumed from the family); an inner generator and an inner tail
+    have an inner commutator, whose pair is pair_commutator of theirs and
+    whose table is inner_series_endo of that pair.  Every other kept one is
+    composed by series_endo_commutator, an inner tail by the tables
+    _Tail.tables builds from its pair, and so is every randomized sample of
+    verify_johnson_injectivity, so each run checks the two routes against
+    each other.  A kept one below the top layer is inverted by
+    series_endo_inverse, a Neumann sum over its own substitution, not
+    composed again as [c, g]; a generator's inverse table stays the
+    word-level one.
+
+    For FnPn no kept candidate mixes an inner factor with a non-inner one.
+    FnPn lists inn(x_1), ..., inn(x_n) before P_n's generators, and each
+    kept list is in generator order, so the inner runs come first.  By
+    induction on k, the inner runs keep only inner commutators, and these
+    span ad(L_k).  An inner generator meets a tangential tail D, D(X_i) =
+    [X_i, t_i], in [ad X_i, D] = -ad(D(X_i)) = -[ad X_i, ad t_i]: a
+    combination of the [ad X_i, inner tails] its run scanned first.  A
+    non-inner generator D meets an inner tail ad v in [D, ad v] =
+    ad(D(v)), inside ad(L_k) = sum_i [ad X_i, ad L_{k-1}], which the inner
+    runs already span.  Layer 2's mirror skip changes neither argument.
+    Other generator orders do reach the mixed shapes, and the general route
+    keeps them correct.
     """
     top = max_degree + 1
     gen_series = _generator_series(family, n, top)
-    words = [_conjugating_word(g) for g in family_generators(family, n)]
     x_pairs = [
-        None if x is None else (magnus_expand(x, top), magnus_expand(word_inverse(x), top))
-        for x in words
+        None if (x := _conjugating_word(g)) is None
+        else (magnus_expand(x, top), magnus_expand(word_inverse(x), top))
+        for g in family_generators(family, n)
     ]
     taus = []
     for idx, g in enumerate(gen_series, start=1):
@@ -408,12 +402,11 @@ def _johnson_layers(family: str, n: int, max_degree: int):
         comp = _tangential_layer(taus, comp, n, k)
         tails = []
         for gi, run in groupby(zip(comp.sources, comp.spanning), key=lambda s: s[0][0]):
-            g, x, x_pair = gen_series[gi], words[gi], x_pairs[gi]
+            g, x_pair = gen_series[gi], x_pairs[gi]
             # substitutions of g and g^-1 serve g's whole run of kept
             # commutators and are dropped when the run ends; layer 1
-            # substitutes nothing, and an inner g builds every commutator by
-            # the inner route, which substitutes by neither
-            if x is None and k > 1:
+            # composes nothing
+            if k > 1:
                 subs = SeriesSubstitution(g[0]), SeriesSubstitution(g[1])
             else:
                 subs = None, None
@@ -421,23 +414,24 @@ def _johnson_layers(family: str, n: int, max_degree: int):
                 c = None if pos is None else prev_tails[pos]
                 if c is None:
                     se, pair = g[0], x_pair
-                elif (pair := _inner_conjugator(g, x, x_pair, c, subs[0])) is not None:
+                elif x_pair is not None and c.conjugator is not None:
+                    pair = pair_commutator(x_pair, c.conjugator)
                     se = inner_series_endo(*pair)
                 else:
                     se = series_endo_commutator(
-                        *g, c.table, c.inverse, a_sub=subs[0], a_inv_sub=subs[1]
+                        *g, *c.tables(), a_sub=subs[0], a_inv_sub=subs[1]
                     )
-                ro = series_read_off(se)
-                if ro.degree != k:
-                    raise RuntimeError(
-                        f"{family} Johnson layer {k}: the kept commutator with generator "
-                        f"{gi + 1} has degree {ro.degree}, not {k}"
-                    )
-                if ro.johnson_image() != tangential_derivation(n, k, tangents):
-                    raise RuntimeError(
-                        f"{family} Johnson layer {k}: the kept commutator with generator "
-                        f"{gi + 1} has a Johnson image other than its Lie bracket"
-                    )
+                    pair = None
+                where = f"{family} Johnson layer {k}: the kept commutator with generator {gi + 1}"
+                try:
+                    ro = series_read_off(se)
+                    if ro.degree != k:
+                        raise RuntimeError(f"{where} has degree {ro.degree}, not {k}")
+                    image = ro.johnson_image()
+                except ValueError as e:
+                    raise RuntimeError(f"{where} cannot be read off: {e}") from e
+                if image != tangential_derivation(n, k, tangents):
+                    raise RuntimeError(f"{where} has a Johnson image other than its Lie bracket")
                 if k == max_degree:
                     continue
                 if pair is not None:

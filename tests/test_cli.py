@@ -197,6 +197,47 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_unreadable_johnson_witness_is_an_internal_error(capsys, monkeypatch):
+    # with the inverse's factors swapped, an inner witness's table is not an
+    # automorphism's, and reading it off fails: a bug in lieforge, not a
+    # usage error
+    from lieforge import suites
+    from lieforge.magnus import series_mul
+
+    def swapped(p, q):
+        return (
+            series_mul(series_mul(series_mul(p[0], q[0]), p[1]), q[1]),
+            series_mul(series_mul(series_mul(p[0], q[1]), p[1]), q[0]),
+        )
+
+    monkeypatch.setattr(suites, "pair_commutator", swapped)
+    code, out, err = run_cli(
+        capsys, "verify", "johnson", "--family", "Inn", "--n", "3", "--max-degree", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: Inn Johnson layer 3: the kept commutator")
+    assert "cannot be read off" in err
+
+
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    import lieforge.cli as cli
+
+    def exhausted(n, k):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "braidlike_rank", exhausted)
+    code, out, err = run_cli(
+        capsys, "ranks", "--object", "der-t-boundary", "--n", "3", "--max-degree", "2"
+    )
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_verify_takes_no_format(capsys):
+    code, out, _ = run_cli(capsys, "verify", "center-pn", "--n", "3", "--format", "tsv")
+    assert code == 2 and out == ""
+
+
 def test_parse_aut_expr():
     w = parse_aut_expr(3, "A(1,2).s1^-1.inn(x1 x2).C(2)^-1.xi")
     table = evaluate(w)

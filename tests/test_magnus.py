@@ -37,7 +37,6 @@ from lieforge.magnus import (
     series_johnson_image,
     series_mul,
     series_read_off,
-    series_substitute,
     word_read_off,
     _by_degree,
     _times_letter_power,
@@ -836,7 +835,7 @@ def test_read_off_of_sigma_tables_names_the_generator():
 
 
 # ---------------------------------------------------------------------------
-# a word's image under a table, by one substitution
+# the images of words under a table, by one substitution each
 
 
 def _substitution_tables(n):
@@ -857,7 +856,9 @@ SUBSTITUTED_WORDS = ("x1", "x2^-1", "x1^3 x3^-2", "x2 x1^-1 x3^2 x1", "x3^-1 x2^
 
 
 @pytest.mark.parametrize("d", range(2, 7))
-def test_series_substitute_is_the_image_of_the_word(d):
+def test_series_endo_compose_is_the_image_of_the_words(d):
+    # each substituted word is the image of x_1 in a table b, so the images
+    # of a o b are the expansions of the words' images under a
     n = 3
     for name, e, ia in _substitution_tables(n):
         se = endo_to_series(e, d)
@@ -865,8 +866,8 @@ def test_series_substitute_is_the_image_of_the_word(d):
         # the shortcut above the cutoff is on for IA tables and off otherwise
         assert (sub.keep < d) == ia, name
         for text in SUBSTITUTED_WORDS:
-            w = parse_word(n, text)
-            want = magnus_expand(endo_apply(e, w), d)
-            got = series_substitute(se, magnus_expand(w, d))
-            assert got == want, (name, text, d)
-            assert series_substitute(se, magnus_expand(w, d), sub) == want, (name, text, d)
+            b = EndoTable(n, (parse_word(n, text), *endo_identity(n).images[1:]))
+            want = tuple(magnus_expand(endo_apply(e, w), d) for w in b.images)
+            sb = endo_to_series(b, d)
+            assert series_endo_compose(se, sb).images == want, (name, text, d)
+            assert series_endo_compose(se, sb, sub).images == want, (name, text, d)

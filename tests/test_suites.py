@@ -386,20 +386,20 @@ def test_johnson_layer_witness_degree_mismatch_is_an_internal_error(monkeypatch,
     from lieforge.cli import main
 
     family, n, top = "FnPn", 3, 4
-    route = suites._inner_conjugator
+    route = suites.pair_commutator
     corrupted = []
 
-    def unit_pair(g, x, x_pair, c, g_sub):
+    def unit_pair(p, q):
         # the first inner witness, on layer 2, comes back as conjugation by
         # the empty word: the identity, of no degree below the cutoff
-        pair = route(g, x, x_pair, c, g_sub)
-        if pair is None or corrupted:
+        pair = route(p, q)
+        if corrupted:
             return pair
         corrupted.append(pair)
         one = trunc_series(n, top + 1, {(): 1})
         return one, one
 
-    monkeypatch.setattr(suites, "_inner_conjugator", unit_pair)
+    monkeypatch.setattr(suites, "pair_commutator", unit_pair)
     with pytest.raises(
         RuntimeError,
         match=r"^FnPn Johnson layer 2: the kept commutator with generator \d+ has degree "
@@ -476,55 +476,107 @@ def inner_commutator_cases(draw):
     )
     factors = st.lists(st.tuples(symbol, st.booleans()), min_size=1, max_size=3)
     a = ".".join(sym + ("^-1" if inv else "") for sym, inv in draw(factors))
-    shape = draw(st.sampled_from(("[a,inn(w)]", "[inn(x),a]", "[inn(x),inn(w)]")))
-    return n, draw(st.integers(3, 6)), a, draw(word), draw(word), shape, draw(st.booleans())
+    shape = draw(st.sampled_from(("[a,inn(w)]", "[inn(x),inn(w)]")))
+    return n, draw(st.integers(3, 6)), a, draw(word), draw(word), shape
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(inner_commutator_cases())
 def test_inner_route_matches_general_commutator(case):
+    # [inn(x), inn(w)] by pair_commutator, and [a, inn(w)] by the general
+    # commutator over the tables an inner tail builds from its pair, against
+    # the general commutator of the word-level tables
     from lieforge.braids import evaluate
     from lieforge.cli import parse_aut_expr
     from lieforge.magnus import (
-        SeriesSubstitution,
         endo_to_series,
         inner_series_endo,
         magnus_expand,
+        pair_commutator,
         series_endo_commutator,
         series_mul,
     )
-    from lieforge.suites import _inner_conjugator, _Tail
+    from lieforge.suites import _Tail
     from lieforge.words import endo_inner, parse_word, word_inverse
 
-    n, d, a_text, x_text, w_text, shape, held = case
-    a_word = parse_aut_expr(n, a_text)
-    a = endo_to_series(evaluate(a_word), d), endo_to_series(evaluate(a_word.inverse()), d)
+    n, d, a_text, x_text, w_text, shape = case
     x, w = parse_word(n, x_text), parse_word(n, w_text)
 
     def inner(u):
         tables = tuple(endo_to_series(endo_inner(t), d) for t in (u, word_inverse(u)))
         return tables, tuple(magnus_expand(t, d) for t in (u, word_inverse(u)))
 
+    c_tables, w_pair = inner(w)
     if shape == "[a,inn(w)]":
-        g, x, x_pair = a, None, None
-        c, w_pair = inner(w)
-        c = _Tail(*c, w_pair)
+        a_word = parse_aut_expr(n, a_text)
+        g = endo_to_series(evaluate(a_word), d), endo_to_series(evaluate(a_word.inverse()), d)
+        from_pair = _Tail(conjugator=w_pair).tables()
+        assert [t.images for t in from_pair] == [t.images for t in c_tables], case
+        got = series_endo_commutator(*g, *from_pair)
     else:
         g, x_pair = inner(x)
-        c = _Tail(*a) if shape == "[inn(x),a]" else _Tail(*inner(w)[0], inner(w)[1])
-    g_sub = SeriesSubstitution(g[0]) if held else None
-    mu, mu_inv = _inner_conjugator(g, x, x_pair, c, g_sub)
-    assert series_mul(mu, mu_inv).coeffs == {(): 1}
-    want = series_endo_commutator(*g, c.table, c.inverse)
-    assert inner_series_endo(mu, mu_inv).images == want.images, case
-    assert inner_series_endo(mu).images == want.images, case
+        mu, mu_inv = pair_commutator(x_pair, w_pair)
+        assert series_mul(mu, mu_inv).coeffs == {(): 1}
+        assert inner_series_endo(mu).images == inner_series_endo(mu, mu_inv).images, case
+        got = inner_series_endo(mu, mu_inv)
+    assert got.images == series_endo_commutator(*g, *c_tables).images, case
 
 
-def test_inner_route_needs_an_inner_factor():
-    from lieforge.suites import _generator_series, _inner_conjugator, _Tail
+def _route_counts(family, n, top, monkeypatch):
+    """The Johnson layers of the family, with the number of kept candidates
+    composed by pair_commutator and by series_endo_commutator, and the
+    number of inner tails whose tables were built from their pairs."""
+    from lieforge import suites
 
-    a, b = _generator_series("Pn", 3, 4)[:2]
-    assert _inner_conjugator(a, None, None, _Tail(*b), None) is None
+    counts = {"pair": 0, "general": 0, "tables from pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "tables from pair" or args[0].conjugator is not None:
+                counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(suites, "pair_commutator", counted("pair", suites.pair_commutator))
+        m.setattr(
+            suites, "series_endo_commutator", counted("general", suites.series_endo_commutator)
+        )
+        m.setattr(suites._Tail, "tables", counted("tables from pair", suites._Tail.tables))
+        layers = [comp for comp, _, _ in suites._johnson_layers(family, n, top)]
+    return layers, counts
+
+
+def test_johnson_route_counts_by_shape(monkeypatch):
+    # FnPn lists its inner generators first, so no kept candidate mixes an
+    # inner factor with a non-inner one: both are inner, or neither is
+    _, counts = _route_counts("FnPn", 4, 4, monkeypatch)
+    assert counts == {"pair": 86, "general": 35, "tables from pair": 0}
+
+
+@pytest.mark.parametrize("n, top", [(3, 5), (4, 4)])
+def test_johnson_layers_in_reversed_generator_order(n, top, monkeypatch):
+    # with P_n's generators first, inner tails meet non-inner generators, and
+    # the general route over tables built from their pairs keeps the layers
+    from lieforge import suites
+
+    want, _ = _route_counts("FnPn", n, top, monkeypatch)
+    generators = suites.family_generators
+
+    def reversed_generators(family, rank):
+        return generators(family, rank)[::-1]
+
+    suites._generator_series.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(suites, "family_generators", reversed_generators)
+            got, counts = _route_counts("FnPn", n, top, monkeypatch)
+    finally:
+        suites._generator_series.cache_clear()
+    assert [c.tangent_lattice for c in got] == [c.tangent_lattice for c in want]
+    assert [c.lattice for c in got] == [c.lattice for c in want]
+    assert counts["tables from pair"] > 0
 
 
 def test_random_commutator_inverse_is_built_on_request():
