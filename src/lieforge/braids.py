@@ -143,10 +143,6 @@ class AutWord:
         return ".".join(bits)
 
 
-def aut_identity(n: int) -> AutWord:
-    return AutWord(n, ())
-
-
 def aut_word(n: int, *symbols: AutSymbol) -> AutWord:
     return AutWord(n, tuple((s, 1) for s in symbols))
 

@@ -123,33 +123,26 @@ def der_scale(d: HomDerivation, c: int) -> HomDerivation:
 
 
 def der_bracket(a: HomDerivation, s: tuple) -> tuple:
-    """Tangents of the bracket [a, b] of two tangential derivations.
+    """Tangents of the bracket [a, b] of two tangential derivations, a of
+    degree one.
 
     With a(X_l) = [X_l, t_l] and b(X_l) = [X_l, s_l], Leibniz and Jacobi give
-    [a, b](X_l) = [X_l, a(s_l) - b(t_l) + [t_l, s_l]].  a comes as a
+    [a, b](X_l) = [X_l, a(s_l) - b(t_l) + [t_l, s_l]].  a comes as a degree-1
     derivation built from its tangents t, so every a(s_l) reuses its word
-    images; b comes as its tangents s alone.  b(t_l) is needed only where
-    t_l != 0, and for a linear t_l it is one bracket [X_m, s_m] per letter,
-    so b's image table is built only when some t_l has degree above one.
+    images; b comes as its tangents s alone.  Each t_l is linear, so b(t_l)
+    is one bracket [X_m, s_m] per letter of t_l.
     """
     t, n = a.tangents, a.rank_n
-    if t is None:
-        raise ValueError("need a derivation built from its tangents")
+    if t is None or a.degree != 1:
+        raise ValueError("need a degree-1 derivation built from its tangents")
     if len(s) != n or any(x.rank_n != n for x in s):
         raise ValueError("rank mismatch")
-    b = None
     out = []
     for tl, sl in zip(t, s):
         u = apply_derivation(a, sl)
         if tl.coeffs:
-            if tl.degree == 1:
-                rows = {p: lie_bracket(lie_generator(n, p + 1), s[p]).coeffs for p in tl.coeffs}
-                bt = combine(tl.coeffs, rows)
-            else:
-                if b is None:
-                    b = tangential_derivation(n, sl.degree, s)
-                bt = apply_derivation(b, tl).coeffs
-            terms = (u.coeffs, bt, lie_bracket(tl, sl).coeffs)
+            rows = {p: lie_bracket(lie_generator(n, p + 1), s[p]).coeffs for p in tl.coeffs}
+            terms = (u.coeffs, combine(tl.coeffs, rows), lie_bracket(tl, sl).coeffs)
             u = LieElement(n, u.degree, combine((1, -1, 1), terms))
         out.append(u)
     return tuple(out)
@@ -219,17 +212,6 @@ def braidlike_rank_formula(n: int, k: int) -> int:
     if k == 1:
         return n * (n - 1) // 2
     return n * witt_rank(n, k) - witt_rank(n, k + 1)
-
-
-def tangential_basis(n: int, k: int) -> list[HomDerivation]:
-    """Basis of degree-k tangential derivations matching tangential_coords."""
-    out = []
-    for i, u in tangential_coords(n, k):
-        tangents = tuple(
-            lie_from_word(n, u) if t == i else lie_zero(n, k) for t in range(1, n + 1)
-        )
-        out.append(tangential_derivation(n, k, tangents))
-    return out
 
 
 def _boundary_brackets(n: int, k: int):

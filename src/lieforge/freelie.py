@@ -238,10 +238,6 @@ def lie_neg(a: LieElement) -> LieElement:
     return lie_scale(a, -1)
 
 
-def lie_sub(a: LieElement, b: LieElement) -> LieElement:
-    return lie_add(a, lie_neg(b))
-
-
 def _rewrite(n: int, wa: tuple[int, ...], wb: tuple[int, ...], same) -> dict:
     """One rewriting step of [P_wa, P_wb], as a fresh (position -> coeff) dict.
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .derivations import HomDerivation
 from .freelie import LieElement, tensor_to_lyndon
-from .words import EndoTable, ReducedWord, endo_identity
+from .words import EndoTable, ReducedWord
 from .zlattice import _sub_multiple
 
 
@@ -186,16 +186,6 @@ def word_read_off(w: ReducedWord, d: int) -> WordReadOff:
     mu = magnus_expand(w, d)
     low = mu.lowest_degree()
     return WordReadOff(mu, AboveCutoff(is_identity=w.is_identity()) if low is None else low)
-
-
-def gamma_degree(w: ReducedWord, d: int) -> Degree:
-    """Smallest degree <= d surviving in mu(w) - 1, else AboveCutoff."""
-    return word_read_off(w, d).degree
-
-
-def lie_class(w: ReducedWord, d: int) -> LieElement:
-    """Leading graded class of w in the free Lie ring, in Lyndon coordinates."""
-    return word_read_off(w, d).lie_class()
 
 
 def _slice_class(s: TruncSeries, k: int) -> LieElement:
@@ -461,8 +451,12 @@ class NonIAError(ValueError):
 
 
 class SeriesReadOff(NamedTuple):
-    """A series table's displacements phi(x_i) x_i^-1 and its degree
-    (series_a_degree), read off once."""
+    """A series table's displacements phi(x_i) x_i^-1 and its degree, read
+    off once.
+
+    degree is one less than the lowest degree surviving in any displacement,
+    else AboveCutoff; the cutoff is the table's max degree.
+    """
 
     rank_n: int
     degree: Degree
@@ -496,30 +490,7 @@ def series_read_off(se: SeriesEndo) -> SeriesReadOff:
     return SeriesReadOff(n, degree, tuple(displacements))
 
 
-def series_a_degree(se: SeriesEndo) -> Degree:
-    """One less than the lowest degree surviving in any displacement, else
-    AboveCutoff; the cutoff is the table's max degree."""
-    return series_read_off(se).degree
-
-
-def series_johnson_image(se: SeriesEndo) -> HomDerivation:
-    """Degree-j derivation X_i -> class of phi(x_i) x_i^-1, j = series_a_degree(se)."""
-    return series_read_off(se).johnson_image()
-
-
-def a_degree(e: EndoTable, d: int) -> Degree:
-    """Largest j <= d-1 with all generator displacements of degree >= j+1.
-
-    Displacement of x_i is e(x_i) x_i^-1, read off the series table of e.
-    AboveCutoff means every displacement is trivial up to the cutoff;
-    is_identity is set exactly when e is the identity table.
-    """
-    deg = series_a_degree(endo_to_series(e, d))
-    if isinstance(deg, AboveCutoff) and e.images == endo_identity(e.rank_n).images:
-        return AboveCutoff(is_identity=True)
-    return deg
-
-
 def johnson_image(e: EndoTable, d: int) -> HomDerivation:
-    """Degree-j derivation X_i -> class of e(x_i) x_i^-1, j = a_degree(e, d)."""
-    return series_johnson_image(endo_to_series(e, d))
+    """Degree-j derivation X_i -> class of e(x_i) x_i^-1, read off the series
+    table of e truncated beyond degree d (series_read_off)."""
+    return series_read_off(endo_to_series(e, d)).johnson_image()

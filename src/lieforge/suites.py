@@ -68,10 +68,8 @@ from .magnus import (
     magnus_expand,
     pair_commutator,
     same_degree,
-    series_a_degree,
     series_endo_commutator,
     series_endo_inverse,
-    series_johnson_image,
     series_read_off,
     word_read_off,
 )
@@ -184,10 +182,10 @@ def verify_inner_equality(n: int, max_degree: int, samples: int, seed=42) -> Sui
         if w.is_identity():
             da: object = AboveCutoff(is_identity=True)
         else:
-            da = series_a_degree(inner_series_endo(wr.series))
-        # a_degree resolves at most max_degree - 1 (displacements are only
-        # expanded to max_degree), so a word of degree exactly max_degree
-        # must come back as AboveCutoff on the automorphism side
+            da = series_read_off(inner_series_endo(wr.series)).degree
+        # series_read_off resolves at most max_degree - 1 (displacements are
+        # only expanded to max_degree), so a word of degree exactly
+        # max_degree must come back as AboveCutoff on the automorphism side
         if not isinstance(dg, AboveCutoff) and dg >= max_degree:
             effective: object = AboveCutoff()
         else:
@@ -389,7 +387,7 @@ def _johnson_layers(family: str, n: int, max_degree: int):
     ]
     taus = []
     for idx, g in enumerate(gen_series, start=1):
-        tau = _tangential(series_johnson_image(g[0]))
+        tau = _tangential(series_read_off(g[0]).johnson_image())
         if tau is None:
             raise RuntimeError(
                 f"{family} Johnson layer 1: the degree-1 Johnson image of generator "

@@ -3,16 +3,15 @@
 Everything here is over Z with arbitrary-precision integers; there is no
 floating point and no modular arithmetic anywhere.
 
-Vectors are sparse: every function here takes a dict {index: coeff} (or a
-dense sequence, converted at the boundary), and elimination works on sparse
-rows keyed by pivot.  A lattice (finitely generated subgroup of Z^m) is
-stored through the echelon rows that elimination leaves: one row per pivot
-column, found by unimodular steps, so they form a basis.  Rank, membership,
-sums, intersections and relations read only those rows.  The canonical
-row-style Hermite basis, which decides equality, is built from them by
-back-substitution the first time a caller compares, hashes or prints a
-lattice, and the dense ``IntLattice.basis`` matrix only when a caller reads
-it.
+Vectors are sparse: every function here takes a dict {index: coeff}, and
+elimination works on sparse rows keyed by pivot.  A lattice (finitely
+generated subgroup of Z^m) is stored through the echelon rows that
+elimination leaves: one row per pivot column, found by unimodular steps, so
+they form a basis.  Rank, membership, sums, intersections and relations read
+only those rows.  The canonical row-style Hermite basis, which decides
+equality, is built from them by back-substitution the first time a caller
+compares, hashes or prints a lattice, and the dense ``IntLattice.basis``
+matrix only when a caller reads it.
 
 Every layer adds c times one sparse vector into another: lattice rows here,
 Lie brackets, tensor expansions and derivation images in ``freelie`` and
@@ -56,20 +55,6 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
-        if data:
-            width = len(data[0])
-            if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with rows")
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-            cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return IntMatrix(len(data), cols, data)
-
-    @staticmethod
     def from_sparse(rows, cols: int) -> "IntMatrix":
         """The dense matrix of sparse rows, each a sequence of (index, coeff)."""
         data = []
@@ -81,18 +66,11 @@ class IntMatrix:
         return IntMatrix(len(data), cols, tuple(data))
 
 
-def _sparse(vec, ambient: int) -> dict[int, int]:
-    """A fresh {index: coeff} copy of vec, zeros dropped.
-
-    vec is a dict {index: coeff} or a dense sequence of length ambient.
-    """
-    if isinstance(vec, dict):
-        if any(not 0 <= j < ambient for j in vec):
-            raise ValueError("vector has wrong dimension")
-        return {j: int(c) for j, c in vec.items() if c}
-    if len(vec) != ambient:
+def _sparse(vec: dict, ambient: int) -> dict[int, int]:
+    """A fresh {index: coeff} copy of the dict vec, zeros dropped."""
+    if any(not 0 <= j < ambient for j in vec):
         raise ValueError("vector has wrong dimension")
-    return {j: int(c) for j, c in enumerate(vec) if c}
+    return {j: int(c) for j, c in vec.items() if c}
 
 
 def _sub_multiple(v: dict, q: int, row: dict) -> None:
@@ -297,14 +275,6 @@ def smith_rank(m: IntMatrix) -> int:
     return rank
 
 
-def kernel_basis(m: IntMatrix) -> IntLattice:
-    """Saturated basis of {v in Z^cols : m v = 0}: the relations among m's columns."""
-    e = m.entries
-    return relations_among(
-        {i: e[i][j] for i in range(m.rows) if e[i][j]} for j in range(m.cols)
-    )
-
-
 def lattice_member(v, lat: IntLattice) -> bool:
     return not _reduce(_sparse(v, lat.ambient_dim), lat.pivot_rows)
 
@@ -338,12 +308,12 @@ def lattice_intersect(a: IntLattice, b: IntLattice) -> IntLattice:
 def relations_among(vectors) -> IntLattice:
     """Integer relations {x : sum_t x_t v_t = 0} among the given vectors.
 
-    Vectors are dicts {key: coeff} with keys of any one sortable type, or
-    dense sequences.  Their keys are relabelled as columns 0, 1, ... in
-    sorted order, which keeps their order, and the rows go to the same
-    elimination as every other caller's (_relations).
+    Vectors are dicts {key: coeff} with keys of any one sortable type.  Their
+    keys are relabelled as columns 0, 1, ... in sorted order, which keeps
+    their order, and the rows go to the same elimination as every other
+    caller's (_relations).
     """
-    vecs = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
+    vecs = list(vectors)
     keys = sorted({key for v in vecs for key, c in v.items() if c})
     col = {key: i for i, key in enumerate(keys)}
     rows = ({col[key]: c for key, c in v.items() if c} for v in vecs)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from lieforge.braids import (
     AutWord,
-    aut_identity,
     aut_mul,
     aut_word,
     boundary,
@@ -263,7 +262,7 @@ def test_evaluate_one_symbol_is_its_table():
 
 def test_evaluate_empty_word_is_identity():
     for n in range(1, 5):
-        assert evaluate(aut_identity(n)) == endo_identity(n)
+        assert evaluate(aut_word(n)) == endo_identity(n)
 
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=80)
@@ -285,7 +284,7 @@ def aut_words(draw):
         st.integers(1, n - 1).map(lambda i: aut_word(n, sym_sigma(i))),
     )
     factors = draw(st.lists(st.tuples(factor, st.booleans()), max_size=4))
-    return aut_mul(aut_identity(n), *(f.inverse() if inv else f for f, inv in factors))
+    return aut_mul(aut_word(n), *(f.inverse() if inv else f for f, inv in factors))
 
 
 @PROPERTIES

@@ -6,7 +6,6 @@ import pytest
 
 from lieforge.cli import main, parse_aut_expr
 from lieforge.braids import (
-    aut_identity,
     aut_mul,
     aut_word,
     evaluate,
@@ -259,7 +258,7 @@ def test_parse_aut_expr_long_power():
     w = parse_aut_expr(3, "A(1,2)^400")
     assert len(w.symbols) == 400
     base = aut_word(3, sym_a(1, 2))
-    product = aut_identity(3)
+    product = aut_word(3)
     for _ in range(400):
         product = aut_mul(product, base)
     assert w == product
@@ -269,8 +268,9 @@ def test_parse_aut_expr_long_power():
 
 
 # stdout digests of ops that exercise the series product, lattice membership,
-# the Johnson layers, the centralizer of the boundary, the census cells and
-# the Lie class of a word; keys are split like a shell command line
+# the Johnson layers, the centralizer of the boundary, the census cells, the
+# Lie class of a word, the Witt table, the tangential ranks, every suite at
+# once and the tsv format; keys are split like a shell command line
 PINNED_STDOUT = {
     "ranks --object dk --n 3 --max-degree 3":
         "85a2c9f62a81246c925d2b5fef5ae8270230e96abf07c00f2e071af89e1f9125",
@@ -318,6 +318,14 @@ PINNED_STDOUT = {
         "74b979786c11cbe1edc3a3713ab605e433d4caa1787e37883829147e09381aad",
     "ranks --object der-t-boundary --n 7 --max-degree 5":
         "19771b6eb8a66ec6946ac92296dd6c59db3085a95aa620191c065331e69d852a",
+    "witt --n 3 --max-degree 7":
+        "3ad449b0e34c673092ac73f04087f257310db6bf5ffb113ffe22041b108bba8e",
+    "ranks --object tangential --n 4 --max-degree 4":
+        "086f54d7823573c25529a155af2b17f69ce685b220bf889a78f9854079fc9e19",
+    "verify all --n 3 --max-degree 4":
+        "e62b9f703bad6da779f35964cebba9bfa2f13065b72992a176716c635db24192",
+    "ranks --object dk --n 3 --max-degree 3 --format tsv":
+        "de2a964a1707995a22250f6e6cf77d08acba3b9abba4069fee0e6e75fcbd22ff",
 }
 
 

@@ -20,7 +20,6 @@ from lieforge.derivations import (
     ev_boundary_surjective,
     image_dim,
     tangent_vector,
-    tangential_basis,
     tangential_coords,
     tangential_derivation,
     tangential_rank_formula,
@@ -36,7 +35,7 @@ from lieforge.freelie import (
     lie_bracket,
     lie_from_word,
     lie_generator,
-    lie_sub,
+    lie_neg,
     lie_zero,
     lyndon_words,
     witt_rank,
@@ -48,14 +47,17 @@ def image_bracket(d1: HomDerivation, d2: HomDerivation) -> HomDerivation:
     """Commutator in image form, X_i -> d1(d2(X_i)) - d2(d1(X_i)): the oracle
     for der_bracket, which brackets tangents."""
     images = tuple(
-        lie_sub(apply_derivation(d1, d2.images[i]), apply_derivation(d2, d1.images[i]))
+        lie_add(
+            apply_derivation(d1, d2.images[i]), lie_neg(apply_derivation(d2, d1.images[i]))
+        )
         for i in range(d1.rank_n)
     )
     return HomDerivation(d1.rank_n, d1.degree + d2.degree, images)
 
 
 def bracket(a: HomDerivation, b: HomDerivation) -> HomDerivation:
-    """der_bracket of two tangential derivations, back in image form."""
+    """der_bracket of two tangential derivations, a of degree one, back in
+    image form."""
     return tangential_derivation(a.rank_n, a.degree + b.degree, der_bracket(a, b.tangents))
 
 
@@ -84,7 +86,10 @@ def test_leibniz_random():
             n, k, {p: rng.randint(-2, 2) for p in range(dim) if rng.random() < 0.7}
         )
 
-    basis1 = tangential_basis(n, 1)
+    size = len(tangential_coords(n, 1))
+    basis1 = [
+        _tangential_from_vector(n, 1, [int(t == s) for t in range(size)]) for s in range(size)
+    ]
     for _ in range(25):
         d = basis1[rng.randrange(len(basis1))]
         ka, kb = rng.choice([(1, 1), (1, 2), (2, 2), (2, 3)])
@@ -103,6 +108,8 @@ def test_der_bracket_examples():
     assert all(t.is_zero() for t in der_bracket(t12, t34.tangents))
     with pytest.raises(ValueError, match="tangents"):
         der_bracket(HomDerivation(n, 1, t12.images), t34.tangents)
+    with pytest.raises(ValueError, match="degree-1"):
+        der_bracket(bracket(t12, t34), t34.tangents)
     n = 3
     d = bracket(tau1(1, 3, n), tau1(2, 3, n))
     X = [None] + [lie_generator(n, t) for t in (1, 2, 3)]
@@ -122,7 +129,11 @@ def tangential_combinations(draw, n=3, max_degree=2):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(tangential_combinations(), tangential_combinations(), tangential_combinations())
+@given(
+    tangential_combinations(max_degree=1),
+    tangential_combinations(max_degree=1),
+    tangential_combinations(max_degree=1),
+)
 def test_der_bracket_jacobi(a, b, c):
     jacobi = der_add(
         der_add(bracket(a, bracket(b, c)), bracket(b, bracket(c, a))),
@@ -136,7 +147,7 @@ def test_der_bracket_jacobi(a, b, c):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(
     st.sampled_from((3, 4)).flatmap(
-        lambda n: st.tuples(tangential_combinations(n, 3), tangential_combinations(n, 3))
+        lambda n: st.tuples(tangential_combinations(n, 1), tangential_combinations(n, 3))
     )
 )
 def test_der_bracket_matches_image_oracle(pair):
@@ -168,9 +179,9 @@ def test_ev_boundary_examples():
 
 
 def test_tangential_basis_counts():
-    assert len(tangential_basis(3, 1)) == 6
-    assert len(tangential_basis(2, 2)) == 2
-    assert len(tangential_basis(3, 2)) == 9
+    assert len(tangential_coords(3, 1)) == 6
+    assert len(tangential_coords(2, 2)) == 2
+    assert len(tangential_coords(3, 2)) == 9
     for n, k in [(2, 1), (3, 2), (4, 3)]:
         assert len(tangential_coords(n, k)) == tangential_rank_formula(n, k)
 
@@ -268,10 +279,10 @@ def test_ad_boundary_central_among_braidlike():
             ad_b = ad_derivation(bnd)
             for tv in braidlike_lattice(n, k).basis.entries:
                 d = _tangential_from_vector(n, k, tv)
-                assert all(t.is_zero() for t in der_bracket(d, ad_b.tangents))
+                assert image_bracket(d, ad_b).is_zero()
                 for w in lyndon_words(n, 2):
                     x = lie_from_word(n, w)
-                    got = bracket(d, ad_derivation(x))
+                    got = image_bracket(d, ad_derivation(x))
                     dx = apply_derivation(d, x)
                     want = der_zero(n, k + 2) if dx.is_zero() else ad_derivation(dx)
                     assert got == want

@@ -133,8 +133,8 @@ def test_dk_inside_braidlike():
     for n in (2, 3, 4):
         for k in range(1, 4):
             bl = braidlike_image_lattice(n, k)
-            for row in dk_component(n, k).lattice.basis.entries:
-                assert lattice_member(row, bl)
+            for row in dk_component(n, k).lattice.rows:
+                assert lattice_member(dict(row), bl)
 
 
 def test_dk_equals_braidlike_in_low_degrees():

@@ -210,10 +210,7 @@ def test_to_tensor_injective_by_rank():
                 index = {m: i for i, m in enumerate(monos)}
                 builder = LatticeBuilder(len(monos))
                 for w in ws:
-                    vec = [0] * len(monos)
-                    for m, c in tensor_expand_word(w).items():
-                        vec[index[m]] = c
-                    builder.add(vec)
+                    builder.add({index[m]: c for m, c in tensor_expand_word(w).items()})
                 total += builder.rank
             assert total == witt_rank(n, k), (n, k)
 

@@ -18,15 +18,11 @@ from lieforge.freelie import (
 from lieforge.magnus import (
     AboveCutoff,
     NonIAError,
-    a_degree,
     endo_to_series,
-    gamma_degree,
     inner_series_endo,
     johnson_image,
-    lie_class,
     magnus_expand,
     same_degree,
-    series_a_degree,
     SeriesEndo,
     SeriesSubstitution,
     TruncSeries,
@@ -34,7 +30,6 @@ from lieforge.magnus import (
     series_endo_compose,
     series_endo_inverse,
     series_inverse,
-    series_johnson_image,
     series_mul,
     series_read_off,
     word_read_off,
@@ -58,6 +53,11 @@ from lieforge.words import (
     word_mul,
 )
 from lieforge.zlattice import lattice_member, lattice_from_rows
+
+
+def table_degree(e, d):
+    """Degree of the table e, read off its series truncated beyond degree d."""
+    return series_read_off(endo_to_series(e, d)).degree
 
 
 def trunc_series(n, d, coeffs):
@@ -100,11 +100,11 @@ def test_expand_multiplicative():
 
 
 def test_gamma_degree_examples():
-    assert gamma_degree(word_gen(2, 1), 4) == 1
+    assert word_read_off(word_gen(2, 1), 4).degree == 1
     c = word_commutator(word_gen(2, 1), word_gen(2, 2))
-    assert gamma_degree(c, 4) == 2
-    assert gamma_degree(word_commutator(word_gen(2, 1), c), 4) == 3
-    top = gamma_degree(word_identity(2), 4)
+    assert word_read_off(c, 4).degree == 2
+    assert word_read_off(word_commutator(word_gen(2, 1), c), 4).degree == 3
+    top = word_read_off(word_identity(2), 4).degree
     assert isinstance(top, AboveCutoff) and top.is_identity
 
 
@@ -113,8 +113,8 @@ def test_gamma_strong_centrality():
     for _ in range(40):
         a = _random_word(rng, 2, 3)
         b = word_commutator(_random_word(rng, 2, 2), _random_word(rng, 2, 2))
-        da, db = gamma_degree(a, 6), gamma_degree(b, 6)
-        dc = gamma_degree(word_commutator(a, b), 6)
+        da, db = word_read_off(a, 6).degree, word_read_off(b, 6).degree
+        dc = word_read_off(word_commutator(a, b), 6).degree
         if isinstance(da, AboveCutoff) or isinstance(db, AboveCutoff):
             continue
         if isinstance(dc, AboveCutoff):
@@ -123,14 +123,14 @@ def test_gamma_strong_centrality():
 
 
 def test_lie_class_examples():
-    assert lie_class(word_gen(2, 1), 3) == lie_generator(2, 1)
+    assert word_read_off(word_gen(2, 1), 3).lie_class() == lie_generator(2, 1)
     c = word_commutator(word_gen(2, 1), word_gen(2, 2))
     b12 = lie_bracket(lie_generator(2, 1), lie_generator(2, 2))
-    assert lie_class(c, 3) == b12
+    assert word_read_off(c, 3).lie_class() == b12
     c_rev = word_commutator(word_gen(2, 2), word_gen(2, 1))
-    assert lie_class(c_rev, 3) == lie_scale(b12, -1)
+    assert word_read_off(c_rev, 3).lie_class() == lie_scale(b12, -1)
     with pytest.raises(ValueError):
-        lie_class(word_identity(2), 3)
+        word_read_off(word_identity(2), 3).lie_class()
 
 
 def test_lie_class_is_lie_element_in_expansion_lattice():
@@ -138,37 +138,32 @@ def test_lie_class_is_lie_element_in_expansion_lattice():
     n = 3
     for _ in range(15):
         w = word_commutator(_random_word(rng, n, 2), _random_word(rng, n, 2))
-        d = gamma_degree(w, 5)
+        wr = word_read_off(w, 5)
+        d = wr.degree
         if isinstance(d, AboveCutoff) or d > 4:
             continue
-        cls = lie_class(w, 5)
         slice_ = magnus_expand(w, d).parts[d]
-        assert to_tensor(cls) == slice_
+        assert to_tensor(wr.lie_class()) == slice_
         # membership in the lattice spanned by expanded basis brackets
         monos = sorted({m for u in lyndon_words(n, d) for m in tensor_expand_word(u)})
         index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for u in lyndon_words(n, d):
-            vec = [0] * len(monos)
-            for m, c in tensor_expand_word(u).items():
-                vec[index[m]] = c
-            rows.append(vec)
+        rows = [
+            {index[m]: c for m, c in tensor_expand_word(u).items()}
+            for u in lyndon_words(n, d)
+        ]
         lat = lattice_from_rows(rows, len(monos))
-        target = [0] * len(monos)
-        for m, c in slice_.items():
-            target[index[m]] = c
-        assert lattice_member(target, lat)
+        assert lattice_member({index[m]: c for m, c in slice_.items()}, lat)
 
 
 def test_a_degree_examples():
     n = 2
-    assert isinstance(a_degree(endo_identity(n), 4), AboveCutoff)
-    assert a_degree(endo_inner(word_gen(n, 1)), 4) == 1
+    assert isinstance(table_degree(endo_identity(n), 4), AboveCutoff)
+    assert table_degree(endo_inner(word_gen(n, 1)), 4) == 1
     c = word_commutator(word_gen(n, 1), word_gen(n, 2))
-    assert a_degree(endo_inner(c), 5) == 2
+    assert table_degree(endo_inner(c), 5) == 2
     swap = EndoTable(n, (word_gen(n, 2), word_gen(n, 1)))
     with pytest.raises(NonIAError, match="x1"):
-        a_degree(swap, 4)
+        table_degree(swap, 4)
 
 
 def test_inner_degree_equality_sampled():
@@ -179,10 +174,10 @@ def test_inner_degree_equality_sampled():
             w = _random_word(rng, n, 2)
             for _ in range(depth - 1):
                 w = word_commutator(_random_word(rng, n, 1), w)
-            dg = gamma_degree(w, 6)
+            dg = word_read_off(w, 6).degree
             if w.is_identity():
                 continue
-            da = a_degree(endo_inner(w), 6)
+            da = table_degree(endo_inner(w), 6)
             assert same_degree(dg, da), (n, w)
 
 
@@ -198,15 +193,15 @@ def test_full_filtration_sampled():
         chi_table(3, 1, n),
     ]
     for phi in phis:
-        j = a_degree(phi, 5)
+        j = table_degree(phi, 5)
         assert not isinstance(j, AboveCutoff)
         for _ in range(20):
             u = _random_word(rng, n, 3)
-            du = gamma_degree(u, 3)
+            du = word_read_off(u, 3).degree
             if isinstance(du, AboveCutoff) or du > 3:
                 continue
             disp = word_mul(endo_apply(phi, u), word_inverse(u))
-            dd = gamma_degree(disp, 6)
+            dd = word_read_off(disp, 6).degree
             assert isinstance(dd, AboveCutoff) or dd >= du + j
 
 
@@ -234,7 +229,7 @@ def _read_off_by_words(e, d):
             return f"x{i}", None
     lows = [magnus_expand(w, d).lowest_degree() for w in disps]
     if all(low is None for low in lows):
-        return AboveCutoff(is_identity=all(w.is_identity() for w in disps)), None
+        return AboveCutoff(), None
     j = min(low for low in lows if low is not None) - 1
     images = []
     for w in disps:
@@ -282,16 +277,13 @@ def test_read_off_matches_word_displacements(case, d):
     e = evaluate(parse_aut_expr(n, text))
     want, want_image = _read_off_by_words(e, d)
     if isinstance(want, str):
-        for read_off in (a_degree, johnson_image):
+        for read_off in (table_degree, johnson_image):
             with pytest.raises(NonIAError, match=f"image of {want} shifts"):
                 read_off(e, d)
         return
-    got = a_degree(e, d)
-    assert got == want and type(got) is type(want), text
     ro = series_read_off(endo_to_series(e, d))
     assert same_degree(ro.degree, want), text
     if isinstance(want, AboveCutoff):
-        assert got.is_identity == want.is_identity
         with pytest.raises(ValueError, match="no finite degree"):
             johnson_image(e, d)
         with pytest.raises(ValueError, match="no finite degree"):
@@ -303,13 +295,17 @@ def test_read_off_matches_word_displacements(case, d):
 
 def test_read_off_identity_flag():
     n = 3
-    assert a_degree(endo_identity(n), 3) == AboveCutoff(is_identity=True)
-    # a commutator of degree 3 reads AboveCutoff, not identity, at cutoff 3
+    # only a word's read-off flags the identity; a table's never does
+    assert word_read_off(word_identity(n), 3).degree == AboveCutoff(is_identity=True)
+    assert table_degree(endo_identity(n), 3) == AboveCutoff(is_identity=False)
+    # a commutator of degree 3 reads AboveCutoff, not identity, at cutoff 2
+    # as a word and at cutoff 3 as an inner automorphism
     c = word_commutator(word_gen(n, 1), word_commutator(word_gen(n, 2), word_gen(n, 3)))
-    assert a_degree(endo_inner(c), 3) == AboveCutoff(is_identity=False)
-    assert a_degree(endo_inner(c), 4) == 3
+    assert word_read_off(c, 2).degree == AboveCutoff(is_identity=False)
+    assert table_degree(endo_inner(c), 3) == AboveCutoff(is_identity=False)
+    assert table_degree(endo_inner(c), 4) == 3
     with pytest.raises(ValueError, match="cutoff degree must be at least 2"):
-        a_degree(endo_identity(n), 1)
+        table_degree(endo_identity(n), 1)
     with pytest.raises(ValueError, match="cutoff degree must be at least 2"):
         johnson_image(endo_inner(word_gen(n, 1)), 1)
 
@@ -356,22 +352,17 @@ def test_word_read_off_matches_separate_reads(w, d):
     wr = word_read_off(w, d)
     mu = magnus_expand(w, d)
     assert wr.series.coeffs == mu.coeffs
-    dg = gamma_degree(w, d)
-    assert same_degree(wr.degree, dg)
-    assert repr(wr.degree) == repr(dg)
     assert isinstance(wr.degree, AboveCutoff) == (mu.lowest_degree() is None)
     if isinstance(wr.degree, AboveCutoff):
         # the identity flag is set exactly on the identity word
         assert wr.degree.is_identity == w.is_identity()
         with pytest.raises(ValueError, match="no class below the cutoff"):
             wr.lie_class()
-        with pytest.raises(ValueError, match="no class below the cutoff"):
-            lie_class(w, d)
     else:
         k = mu.lowest_degree()
         assert wr.degree == k
         expected = LieElement(w.rank_n, k, tensor_to_lyndon(w.rank_n, mu.parts[k]))
-        assert wr.lie_class() == expected == lie_class(w, d)
+        assert wr.lie_class() == expected
     se = inner_series_endo(wr.series)
     table = endo_to_series(endo_inner(w), d)
     assert [s.coeffs for s in se.images] == [s.coeffs for s in table.images]
@@ -381,8 +372,9 @@ def test_series_johnson_matches_word_johnson():
     n = 3
     c = word_commutator(word_gen(n, 1), word_gen(n, 2))
     se = inner_series_endo(magnus_expand(c, 5))
-    assert series_a_degree(se) == 2
-    assert series_johnson_image(se) == johnson_image(endo_inner(c), 5)
+    ro = series_read_off(se)
+    assert ro.degree == 2
+    assert ro.johnson_image() == johnson_image(endo_inner(c), 5)
 
 
 def test_series_commutator_matches_group_commutator():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -53,15 +55,15 @@ def test_inner_equality_many_seeds():
 def test_inner_equality_cutoff_boundary():
     # a word of degree exactly max_degree resolves as AboveCutoff on the
     # automorphism side; the suite must treat that as agreement
-    from lieforge.magnus import AboveCutoff, a_degree, gamma_degree
+    from lieforge.magnus import AboveCutoff, endo_to_series, series_read_off, word_read_off
     from lieforge.words import endo_inner, word_commutator, word_gen
 
     w = word_commutator(
         word_gen(2, 1),
         word_commutator(word_gen(2, 1), word_commutator(word_gen(2, 1), word_gen(2, 2))),
     )
-    assert gamma_degree(w, 4) == 4
-    assert isinstance(a_degree(endo_inner(w), 4), AboveCutoff)
+    assert word_read_off(w, 4).degree == 4
+    assert isinstance(series_read_off(endo_to_series(endo_inner(w), 4)).degree, AboveCutoff)
 
 
 def test_inner_equality_deterministic():
@@ -287,8 +289,10 @@ def test_johnson_layers_equal_the_lie_side_lattices(n):
 @pytest.mark.parametrize("family", ["Inn", "Pn", "FnPn"])
 def test_johnson_layers_read_off_only_kept_witnesses(family, monkeypatch):
     # a candidate is screened by its Lie bracket, so only those that enlarge
-    # a lattice are composed and read off on the group side
+    # a lattice are composed and read off on the group side, besides each
+    # generator's degree-1 image
     from lieforge import suites
+    from lieforge.braids import family_generators
 
     calls = []
     read_off = suites.series_read_off
@@ -299,8 +303,9 @@ def test_johnson_layers_read_off_only_kept_witnesses(family, monkeypatch):
 
     monkeypatch.setattr(suites, "series_read_off", recorded)
     layers = list(suites._johnson_layers(family, 3, 4))
-    assert len(calls) == sum(comp.rank for comp, _, _ in layers)
-    assert len(calls) < sum(scanned for _, _, scanned in layers)
+    gens = len(family_generators(family, 3))
+    assert len(calls) == gens + sum(comp.rank for comp, _, _ in layers)
+    assert len(calls) - gens < sum(scanned for _, _, scanned in layers)
     assert set(calls) == {5}
 
 
@@ -310,13 +315,16 @@ def test_generator_tangents_match_the_lie_side(family, n):
     from lieforge.derivations import ad_derivation, tangent_vector
     from lieforge.dk import tau1
     from lieforge.freelie import lie_generator
-    from lieforge.magnus import series_johnson_image
+    from lieforge.magnus import series_read_off
     from lieforge.suites import _generator_series, _tangential
 
     inner = [ad_derivation(lie_generator(n, i)) for i in range(1, n + 1)] if family != "Pn" else []
     pure = [tau1(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     pure = pure if family != "Inn" else []
-    got = [_tangential(series_johnson_image(g[0])) for g in _generator_series(family, n, 3)]
+    got = [
+        _tangential(series_read_off(g[0]).johnson_image())
+        for g in _generator_series(family, n, 3)
+    ]
     assert got == inner + pure
     # no t_l read off has an X_l term (tangent_vector raises on one), so
     # tau1's tangents, which have none, come back exactly
@@ -422,19 +430,21 @@ def test_johnson_layer_non_tangential_generator_is_an_internal_error(monkeypatch
     from lieforge.derivations import HomDerivation
     from lieforge.freelie import lie_add, lie_bracket, lie_generator
 
-    image = suites.series_johnson_image
+    read_off = suites.series_read_off
     n = 3
 
     def with_bracket(se):
         # generator 2's degree-1 image of X_1 gains [X_2, X_3], which no
         # tangent t_1 brackets X_1 into
-        jd = image(se)
+        ro = read_off(se)
         if se is not suites._generator_series("FnPn", n, 4)[1][0]:
-            return jd
+            return ro
+        jd = ro.johnson_image()
         x1 = lie_add(jd.image(1), lie_bracket(lie_generator(n, 2), lie_generator(n, 3)))
-        return HomDerivation(n, 1, (x1, *jd.images[1:]))
+        corrupted = HomDerivation(n, 1, (x1, *jd.images[1:]))
+        return SimpleNamespace(degree=ro.degree, johnson_image=lambda: corrupted)
 
-    monkeypatch.setattr(suites, "series_johnson_image", with_bracket)
+    monkeypatch.setattr(suites, "series_read_off", with_bracket)
     with pytest.raises(
         RuntimeError,
         match=r"^FnPn Johnson layer 1: the degree-1 Johnson image of generator 2 is not "

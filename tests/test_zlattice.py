@@ -10,7 +10,6 @@ from lieforge.zlattice import (
     IntLattice,
     LatticeBuilder,
     combine,
-    kernel_basis,
     lattice_from_rows,
     lattice_intersect,
     lattice_member,
@@ -22,9 +21,14 @@ from lieforge.zlattice import (
 )
 
 
+def _sparse_row(row) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def hermite_form(m: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form; zero rows removed, row span unchanged."""
-    return IntMatrix.from_sparse(lattice_from_rows(m.entries, m.cols).rows, m.cols)
+    lat = lattice_from_rows(map(_sparse_row, m.entries), m.cols)
+    return IntMatrix.from_sparse(lat.rows, m.cols)
 
 
 def test_xgcd():
@@ -35,37 +39,36 @@ def test_xgcd():
 
 
 def test_hermite_examples():
-    assert hermite_form(IntMatrix.from_rows([[2, 4], [1, 3]])).entries == ((1, 1), (0, 2))
-    ident = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert hermite_form(IntMatrix(2, 2, ((2, 4), (1, 3)))).entries == ((1, 1), (0, 2))
+    ident = IntMatrix(3, 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert hermite_form(ident) == ident
-    assert hermite_form(IntMatrix.from_rows([[0, 0], [0, 0]])).entries == ()
+    assert hermite_form(IntMatrix(2, 2, ((0, 0), (0, 0)))).entries == ()
 
 
 def test_hermite_idempotent_and_span_preserving():
     rng = random.Random(7)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(rng.randint(1, 6))]
-        m = IntMatrix.from_rows(rows)
-        h = hermite_form(m)
+        h = hermite_form(IntMatrix(len(rows), 5, rows))
         assert hermite_form(h) == h
-        lat = lattice_from_rows(h.entries, 5)
+        lat = lattice_from_rows(map(_sparse_row, h.entries), 5)
         # mutual membership of basis rows decides span equality
-        assert all(lattice_member(r, lat) for r in rows)
-        lat0 = lattice_from_rows(rows, 5)
-        assert all(lattice_member(r, lat0) for r in h.entries)
+        assert all(lattice_member(_sparse_row(r), lat) for r in rows)
+        lat0 = lattice_from_rows(map(_sparse_row, rows), 5)
+        assert all(lattice_member(_sparse_row(r), lat0) for r in h.entries)
 
 
 def test_smith_rank_examples():
-    assert smith_rank(IntMatrix.from_rows([[2, 0], [0, 3]])) == 2
-    assert smith_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert smith_rank(IntMatrix.from_rows([[0]])) == 0
+    assert smith_rank(IntMatrix(2, 2, ((2, 0), (0, 3)))) == 2
+    assert smith_rank(IntMatrix(2, 2, ((1, 2), (2, 4)))) == 1
+    assert smith_rank(IntMatrix(1, 1, ((0,),))) == 0
 
 
 def test_smith_rank_agrees_with_hermite():
     rng = random.Random(11)
     for _ in range(60):
         rows = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(rng.randint(1, 5))]
-        m = IntMatrix.from_rows(rows)
+        m = IntMatrix(len(rows), 4, rows)
         assert smith_rank(m) == hermite_form(m).rows
 
 
@@ -77,8 +80,8 @@ def test_hermite_against_sympy():
     rng = random.Random(3)
     for _ in range(25):
         rows = [[rng.randint(-7, 7) for _ in range(4)] for _ in range(4)]
-        ours = hermite_form(IntMatrix.from_rows(rows))
-        lat = lattice_from_rows(ours.entries, 4)
+        ours = hermite_form(IntMatrix(4, 4, rows))
+        lat = lattice_from_rows(map(_sparse_row, ours.entries), 4)
         # sympy's is column-style; transpose in and out to compare row spans
         sm = Matrix(rows).T
         try:
@@ -86,16 +89,16 @@ def test_hermite_against_sympy():
         except Exception:
             continue
         sympy_rows = [list(col) for col in h.T.tolist()]
-        assert all(lattice_member(r, lat) for r in sympy_rows)
-        lat2 = lattice_from_rows(sympy_rows, 4)
-        assert all(lattice_member(r, lat2) for r in ours.entries)
+        assert all(lattice_member(_sparse_row(r), lat) for r in sympy_rows)
+        lat2 = lattice_from_rows(map(_sparse_row, sympy_rows), 4)
+        assert all(lattice_member(_sparse_row(r), lat2) for r in ours.entries)
 
 
 def test_kernel_examples():
-    assert kernel_basis(IntMatrix.from_rows([[1, 1]])).basis.entries == ((1, -1),)
-    ident = IntMatrix.from_rows([[1, 0], [0, 1]])
-    assert kernel_basis(ident).rank == 0
-    assert kernel_basis(IntMatrix.from_rows([[2, 4]])).basis.entries == ((2, -1),)
+    # the kernel of a matrix is the lattice of relations among its columns
+    assert relations_among([{0: 1}, {0: 1}]).basis.entries == ((1, -1),)
+    assert relations_among([{0: 1}, {1: 1}]).rank == 0
+    assert relations_among([{0: 2}, {0: 4}]).basis.entries == ((2, -1),)
 
 
 def test_kernel_rank_and_saturation():
@@ -103,44 +106,43 @@ def test_kernel_rank_and_saturation():
     primes = [2, 3, 5, 7, 11, 13]
     for _ in range(30):
         rows = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(rng.randint(1, 4))]
-        m = IntMatrix.from_rows(rows)
-        k = kernel_basis(m)
-        assert k.rank == m.cols - smith_rank(m)
+        k = relations_among(_sparse_row(col) for col in zip(*rows))
+        assert k.rank == 6 - smith_rank(IntMatrix(len(rows), 6, rows))
         for v in k.basis.entries:
-            assert all(sum(m.entries[i][j] * v[j] for j in range(6)) == 0 for i in range(m.rows))
+            assert all(sum(r[j] * v[j] for j in range(6)) == 0 for r in rows)
         # saturation: v/p is not integral-and-in-lattice unless v/p already there
         for v in k.basis.entries:
             for p in primes:
                 if all(x % p == 0 for x in v):
-                    assert lattice_member([x // p for x in v], k)
+                    assert lattice_member(_sparse_row([x // p for x in v]), k)
 
 
 def test_intersection_examples():
-    a = lattice_from_rows([[1, 0]], 2)
-    b = lattice_from_rows([[0, 1]], 2)
+    a = lattice_from_rows([{0: 1}], 2)
+    b = lattice_from_rows([{1: 1}], 2)
     assert lattice_intersect(a, b).rank == 0
-    full = lattice_from_rows([[1, 0], [0, 1]], 2)
-    diag = lattice_from_rows([[1, 1]], 2)
+    full = lattice_from_rows([{0: 1}, {1: 1}], 2)
+    diag = lattice_from_rows([{0: 1, 1: 1}], 2)
     assert lattice_intersect(full, diag) == diag
-    two = lattice_from_rows([[2, 0]], 2)
-    three = lattice_from_rows([[3, 0]], 2)
+    two = lattice_from_rows([{0: 2}], 2)
+    three = lattice_from_rows([{0: 3}], 2)
     assert lattice_intersect(two, three).basis.entries == ((6, 0),)
 
 
 def test_intersection_properties():
     rng = random.Random(23)
+
+    def random_lattice():
+        rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(rng.randint(1, 3))]
+        return lattice_from_rows(map(_sparse_row, rows), 4)
+
     for _ in range(25):
-        a = lattice_from_rows(
-            [[rng.randint(-4, 4) for _ in range(4)] for _ in range(rng.randint(1, 3))], 4
-        )
-        b = lattice_from_rows(
-            [[rng.randint(-4, 4) for _ in range(4)] for _ in range(rng.randint(1, 3))], 4
-        )
+        a, b = random_lattice(), random_lattice()
         ab = lattice_intersect(a, b)
         ba = lattice_intersect(b, a)
         assert ab == ba
         assert ab.rank <= min(a.rank, b.rank)
-        for v in ab.basis.entries:
+        for v in map(dict, ab.rows):
             assert lattice_member(v, a) and lattice_member(v, b)
 
 
@@ -150,37 +152,37 @@ def test_intersection_dimension_mismatch():
 
 
 def test_membership_examples():
-    assert lattice_member([2, 2], lattice_from_rows([[1, 1]], 2))
-    assert not lattice_member([1, 0], lattice_from_rows([[2, 0]], 2))
-    assert lattice_member([0, 0], zero_lattice(2))
-    assert lattice_member([0, 0], lattice_from_rows([[5, 3]], 2))
+    assert lattice_member({0: 2, 1: 2}, lattice_from_rows([{0: 1, 1: 1}], 2))
+    assert not lattice_member({0: 1}, lattice_from_rows([{0: 2}], 2))
+    assert lattice_member({}, zero_lattice(2))
+    assert lattice_member({}, lattice_from_rows([{0: 5, 1: 3}], 2))
 
 
 def test_builder_contains():
     b = LatticeBuilder(2)
-    b.add([2, 0])
-    b.add([0, 3])
+    b.add({0: 2})
+    b.add({1: 3})
     lat = b.lattice()
-    for v, member in (([4, 3], True), ([0, 0], True), ([1, 0], False), ([2, 1], False)):
+    for v, member in (({0: 4, 1: 3}, True), ({}, True), ({0: 1}, False), ({0: 2, 1: 1}, False)):
         assert b.contains(v) is member
         assert lattice_member(v, lat) is member
     with pytest.raises(ValueError):
-        b.contains([1, 0, 0])
+        b.contains({2: 1})
 
 
 def test_lattice_sum():
-    a = lattice_from_rows([[2, 0]], 2)
-    b = lattice_from_rows([[3, 0]], 2)
+    a = lattice_from_rows([{0: 2}], 2)
+    b = lattice_from_rows([{0: 3}], 2)
     assert lattice_sum(a, b).basis.entries == ((1, 0),)
 
 
 def test_builder_change_reporting():
     b = LatticeBuilder(3)
-    assert b.add([2, 0, 0]) is True
-    assert b.add([4, 0, 0]) is False
-    assert b.add([3, 0, 0]) is True  # refines the index without raising rank
+    assert b.add({0: 2}) is True
+    assert b.add({0: 4}) is False
+    assert b.add({0: 3}) is True  # refines the index without raising rank
     assert b.rank == 1
-    assert b.add([0, 1, 5]) is True
+    assert b.add({1: 1, 2: 5}) is True
     assert b.rank == 2
 
 
@@ -188,12 +190,12 @@ def test_relations_among():
     # 2*(1,1) + 1*(-2,-2) = 0 and the third vector is independent
     rel = relations_among([{0: 1, 1: 1}, {0: -2, 1: -2}, {0: 5}])
     assert rel.basis.entries == ((2, 1, 0),)
-    none = relations_among([[1, 0], [0, 1]])
+    none = relations_among([{0: 1}, {1: 1}])
     assert none.rank == 0
 
 
 def test_relations_among_zero_vectors_is_everything():
-    assert relations_among([{}, {0: 0}, [0, 0]]).basis.entries == (
+    assert relations_among([{}, {0: 0}, {1: 0}]).basis.entries == (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -253,21 +255,17 @@ def _saturated(lat: IntLattice) -> bool:
 
 @PROPERTIES
 @given(sparse_matrices(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
-def test_dict_and_dense_input_agree(case, coeffs):
+def test_builder_and_membership_agree(case, coeffs):
     cols, rows = case
-    dense = [_dense(r, cols) for r in rows]
-    by_dict, by_list = LatticeBuilder(cols), LatticeBuilder(cols)
-    for r, d in zip(rows, dense):
-        assert by_dict.add(r) == by_list.add(d)
-    lat = by_dict.lattice()
-    assert lat == by_list.lattice() == lattice_from_rows(dense, cols)
+    builder = LatticeBuilder(cols)
+    for r in rows:
+        builder.add(r)
+    lat = builder.lattice()
     assert lat == lattice_from_rows(rows, cols)
     member = combine(coeffs[: len(rows)], rows)
     probes = [member, {j: 2 * c + 1 for j, c in member.items()}, {cols - 1: 1}]
     for v in probes:
-        want = lattice_member(v, lat)
-        assert lattice_member(_dense(v, cols), lat) is want
-        assert by_dict.contains(v) is by_list.contains(_dense(v, cols)) is want
+        assert builder.contains(v) is lattice_member(v, lat)
     assert lattice_member(member, lat)
 
 
@@ -308,7 +306,7 @@ def test_relations_among_properties(case):
     for x in rel.basis.entries:
         assert combine(x, vectors) == {}
     if m:
-        assert rel.rank == m - smith_rank(IntMatrix.from_rows([_dense(v, cols) for v in vectors]))
+        assert rel.rank == m - smith_rank(IntMatrix(m, cols, [_dense(v, cols) for v in vectors]))
     assert _saturated(rel)
     # tuple keys, as the center computation uses, give the same relations
     relabelled = [{(j % 2, -j): c for j, c in v.items()} for v in vectors]
@@ -323,13 +321,14 @@ def test_intersection_and_kernel_properties(a_case, b_case):
     a, b = lattice_from_rows(a_case[1], cols), lattice_from_rows(b_rows, cols)
     inter = lattice_intersect(a, b)
     assert inter == lattice_intersect(b, a)
-    assert all(lattice_member(v, a) and lattice_member(v, b) for v in inter.basis.entries)
+    assert all(lattice_member(v, a) and lattice_member(v, b) for v in map(dict, inter.rows))
     # rank of the intersection: rank a + rank b - rank (a + b)
     assert inter.rank == a.rank + b.rank - lattice_sum(a, b).rank
     if a_case[1]:
-        mat = IntMatrix.from_rows([_dense(r, cols) for r in a_case[1]])
-        kern = kernel_basis(mat)
-        assert kern.rank == cols - smith_rank(mat)
+        # the kernel of a's rows as a matrix: the relations among its columns
+        dense = [_dense(r, cols) for r in a_case[1]]
+        kern = relations_among(_sparse_row(col) for col in zip(*dense))
+        assert kern.rank == cols - smith_rank(IntMatrix(len(dense), cols, dense))
         assert _saturated(kern)
 
 
@@ -367,8 +366,8 @@ def test_sparse_rows_and_dense_basis_agree(case, cut):
     assert (lat == other) == (lat.basis == other.basis)
     if lat == other:
         assert hash(lat) == hash(other)
-    assert lat == lattice_from_rows(basis.entries, cols)
-    assert hash(lat) == hash(lattice_from_rows(basis.entries, cols))
+    from_dense = lattice_from_rows(map(_sparse_row, basis.entries), cols)
+    assert lat == from_dense and hash(lat) == hash(from_dense)
 
 
 @st.composite
@@ -401,8 +400,9 @@ def test_echelon_first_lattices_against_canonical_oracles(case, other_case):
             assert hash(a) == hash(b)
     assert lat == same
     if rows:
-        m = Matrix([_dense(r, cols) for r in respelled])
-        assert same.rank == smith_rank(IntMatrix.from_rows(m.tolist()))
+        dense = [_dense(r, cols) for r in respelled]
+        m = Matrix(dense)
+        assert same.rank == smith_rank(IntMatrix(len(dense), cols, dense))
         # sympy's column-style form of the column-reversed transpose is the
         # canonical basis read backwards
         h = hermite_normal_form(m[:, ::-1].T).T.tolist()
