@@ -10,6 +10,10 @@ Convention: sigma_i sends x_i -> x_{i+1} and x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
 and fixes the other generators.  This is the mirror of the other classical
 choice; it is pinned down by the requirement that the central braid xi_n
 evaluate to the inverse of conjugation by the boundary word x_1...x_n.
+
+Each builder lists only the generators it moves; ``words._endo_from_images``
+fixes the rest and forms the table.  ``quotient_table`` pushes images through
+``words._word_image``, the letter-substitution loop behind ``endo_apply``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from dataclasses import dataclass
 from .words import (
     EndoTable,
     ReducedWord,
+    _endo_from_images,
+    _word_image,
     endo_apply,
     endo_compose,
     endo_identity,
@@ -166,12 +172,9 @@ def sigma_table(i: int, n: int, sign: int = 1) -> EndoTable:
     if not 1 <= i <= n - 1:
         raise ValueError(f"sigma index {i} out of range for rank {n}")
     xi, xi1 = word_gen(n, i), word_gen(n, i + 1)
-    images = [word_gen(n, t) for t in range(1, n + 1)]
     if sign > 0:
-        images[i - 1], images[i] = xi1, word_conjugate(word_inverse(xi1), xi)
-    else:
-        images[i - 1], images[i] = word_conjugate(xi, xi1), xi
-    return EndoTable(n, tuple(images))
+        return _endo_from_images(n, {i: xi1, i + 1: word_conjugate(word_inverse(xi1), xi)})
+    return _endo_from_images(n, {i: word_conjugate(xi, xi1), i + 1: xi})
 
 
 def pure_a_table(i: int, j: int, n: int, sign: int = 1) -> EndoTable:
@@ -199,12 +202,10 @@ def pure_a_table(i: int, j: int, n: int, sign: int = 1) -> EndoTable:
         img_j = ((i, 1), (j, 1), (i, -1))
         w = ((i, 1), (j, 1), (i, -1), (j, -1))
     w_inv = tuple((g, -e) for g, e in reversed(w))
-    images = [word_gen(n, t) for t in range(1, n + 1)]
-    images[i - 1] = ReducedWord(n, img_i)
-    images[j - 1] = ReducedWord(n, img_j)
+    moved = {i: ReducedWord(n, img_i), j: ReducedWord(n, img_j)}
     for t in range(i + 1, j):
-        images[t - 1] = ReducedWord(n, w + ((t, 1),) + w_inv)
-    return EndoTable(n, tuple(images))
+        moved[t] = ReducedWord(n, w + ((t, 1),) + w_inv)
+    return _endo_from_images(n, moved)
 
 
 def boundary(n: int) -> ReducedWord:
@@ -227,23 +228,16 @@ def c_j_table(j: int, n: int, sign: int = 1) -> EndoTable:
     tail = word_inverse(_range_word(n, j + 1, n))
     if sign < 0:
         head, tail = word_inverse(head), word_inverse(tail)
-    images = []
-    for t in range(1, n + 1):
-        w = head if t <= j else tail
-        images.append(word_conjugate(w, word_gen(n, t)))
-    return EndoTable(n, tuple(images))
+    return _endo_from_images(
+        n, {t: word_conjugate(head if t <= j else tail, word_gen(n, t)) for t in range(1, n + 1)}
+    )
 
 
 def chi_table(k: int, i: int, n: int, sign: int = 1) -> EndoTable:
     """chi_{ki}: x_k -> x_i^-1 x_k x_i, all other generators fixed."""
     if not (1 <= i < k <= n):
         raise ValueError("chi indices out of range")
-    conj = word_gen(n, i, -sign)
-    images = tuple(
-        word_conjugate(conj, word_gen(n, t)) if t == k else word_gen(n, t)
-        for t in range(1, n + 1)
-    )
-    return EndoTable(n, images)
+    return _endo_from_images(n, {k: word_conjugate(word_gen(n, i, -sign), word_gen(n, k))})
 
 
 def cki_table(k: int, i: int, n: int, sign: int = 1) -> EndoTable:
@@ -251,11 +245,7 @@ def cki_table(k: int, i: int, n: int, sign: int = 1) -> EndoTable:
     if not (1 <= i <= k <= n):
         raise ValueError("partial inner indices out of range")
     conj = word_gen(n, i, -sign)
-    images = tuple(
-        word_conjugate(conj, word_gen(n, t)) if t <= k else word_gen(n, t)
-        for t in range(1, n + 1)
-    )
-    return EndoTable(n, images)
+    return _endo_from_images(n, {t: word_conjugate(conj, word_gen(n, t)) for t in range(1, k + 1)})
 
 
 def tri_table(i: int, w: ReducedWord, gamma: ReducedWord, n: int, sign: int = 1) -> EndoTable:
@@ -265,10 +255,7 @@ def tri_table(i: int, w: ReducedWord, gamma: ReducedWord, n: int, sign: int = 1)
         img = word_mul(word_conjugate(word_inverse(w), xi), gamma)
     else:
         img = word_conjugate(w, word_mul(xi, word_inverse(gamma)))
-    images = tuple(
-        img if t == i else word_gen(n, t) for t in range(1, n + 1)
-    )
-    return EndoTable(n, images)
+    return _endo_from_images(n, {i: img})
 
 
 def symbol_table(sym: AutSymbol, n: int, sign: int = 1) -> EndoTable:
@@ -363,19 +350,8 @@ def quotient_table(e: EndoTable) -> EndoTable:
     if n < 2:
         raise ValueError("rank must be at least 2 to form the quotient")
     m = n - 1
-    last = word_inverse(_range_word(m, 1, m))
-    subs = [word_gen(m, t) for t in range(1, m + 1)] + [last]
-
-    def push(w: ReducedWord) -> ReducedWord:
-        pairs: list[tuple[int, int]] = []
-        for g, exp in w.letters:
-            img = subs[g - 1]
-            if exp < 0:
-                img = word_inverse(img)
-            pairs.extend(img.letters * abs(exp))
-        return word_from_pairs(m, pairs)
-
-    return EndoTable(m, tuple(push(e.images[t]) for t in range(m)))
+    subs = endo_identity(m).images + (word_inverse(_range_word(m, 1, m)),)
+    return EndoTable(m, tuple(_word_image(subs, w, m) for w in e.images[:m]))
 
 
 def braid_abelianize(aw: AutWord) -> list[int]:

@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "key-theorem", "triangular", "all"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-degree", type=int, default=4, dest="max_degree")
-    sp.add_argument("--family", choices=("Inn", "Pn", "FnPn"), default="Pn")
+    sp.add_argument("--family", choices=suites.JOHNSON_FAMILIES, default="Pn")
     sp.add_argument("--samples", type=int, default=60)
     sp.add_argument("--seed", type=int, default=42)
     sp.set_defaults(fn=cmd_verify)

@@ -208,9 +208,9 @@ def lie_zero(n: int, k: int) -> LieElement:
     return LieElement(n, k, {})
 
 
-def lie_from_word(n: int, word: tuple[int, ...], c: int = 1) -> LieElement:
+def lie_from_word(n: int, word: tuple[int, ...]) -> LieElement:
     k = len(word)
-    return LieElement(n, k, {lyndon_position(n, k)[word]: c} if c else {})
+    return LieElement(n, k, {lyndon_position(n, k)[word]: 1})
 
 
 def lie_generator(n: int, i: int) -> LieElement:

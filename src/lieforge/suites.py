@@ -168,6 +168,8 @@ def verify_inner_equality(n: int, max_degree: int, samples: int, seed=42) -> Sui
     """Degree agreement between a word and the inner automorphism it induces."""
     if n < 2 or max_degree < 3:
         raise ValueError("need n >= 2 and max_degree >= 3")
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     rep = SuiteReport(
         "inner-equality",
         {"n": n, "max_degree": max_degree, "samples": samples, "seed": seed},
@@ -254,6 +256,11 @@ def verify_quotient_action(n: int) -> SuiteReport:
                 endo_equal(quotient_table(section), pure_a_table(i, j, n - 1)),
             )
     return rep
+
+
+# the families whose Johnson images the injectivity suite checks, each with a
+# rank prediction in _expected_family_rank
+JOHNSON_FAMILIES = ("Inn", "Pn", "FnPn")
 
 
 def _expected_family_rank(family: str, n: int, k: int) -> int:
@@ -463,8 +470,8 @@ def _random_commutator_series(gen_series, rng, weight: int, inverse: bool = Fals
 
 def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) -> SuiteReport:
     """Rank witnesses for the graded images of automorphism families."""
-    if family not in ("Inn", "Pn", "FnPn"):
-        raise ValueError("family must be one of Inn, Pn, FnPn")
+    if family not in JOHNSON_FAMILIES:
+        raise ValueError(f"family must be one of {', '.join(JOHNSON_FAMILIES)}")
     if n < 2 or max_degree < 1:
         raise ValueError("need n >= 2 and max_degree >= 1")
     rep = SuiteReport("johnson-injectivity", {"family": family, "n": n, "max_degree": max_degree})
@@ -516,8 +523,8 @@ def verify_johnson_injectivity(family: str, n: int, max_degree: int, seed=42) ->
 
 def verify_key_theorem_hypothesis(n: int, max_degree: int) -> SuiteReport:
     """Intersections of braid derivations with inner derivations, per degree."""
-    if not 3 <= n <= 4 or max_degree > 4:
-        raise ValueError("need 3 <= n <= 4 and max_degree <= 4")
+    if not 3 <= n <= 4 or not 1 <= max_degree <= 4:
+        raise ValueError("need 3 <= n <= 4 and 1 <= max_degree <= 4")
     rep = SuiteReport("key-theorem-hypothesis", {"n": n, "max_degree": max_degree})
     for k in range(1, max_degree + 1):
         inter = lattice_intersect(dk_component(n, k).lattice, ad_image_lattice(n, k))
@@ -606,7 +613,7 @@ def verify_all(n: int, max_degree: int, samples: int = 60, seed=42) -> list[Suit
         reports.append(verify_quotient_action(n))
     jd_deg = min(max_degree, 4)
     if n <= 4:
-        for family in ("Inn", "Pn", "FnPn"):
+        for family in JOHNSON_FAMILIES:
             reports.append(verify_johnson_injectivity(family, n, jd_deg, seed))
     if 3 <= n <= 4:
         reports.append(verify_key_theorem_hypothesis(n, jd_deg))

@@ -171,33 +171,42 @@ class EndoTable:
         return self.images[i - 1]
 
 
+def _endo_from_images(n: int, moved: dict[int, ReducedWord]) -> EndoTable:
+    """The table sending x_t to moved[t] for each t in moved and fixing the rest."""
+    return EndoTable(
+        n, tuple(moved[t] if t in moved else word_gen(n, t) for t in range(1, n + 1))
+    )
+
+
+def _word_image(images, w: ReducedWord, rank: int) -> ReducedWord:
+    """w with each letter x_g^e replaced by images[g-1]^e, reduced at the given rank."""
+    inverses: dict[int, ReducedWord] = {}
+    pairs: list[tuple[int, int]] = []
+    for g, exp in w.letters:
+        if exp > 0:
+            img = images[g - 1]
+        else:
+            img = inverses.get(g)
+            if img is None:
+                img = inverses[g] = word_inverse(images[g - 1])
+        pairs.extend(img.letters * abs(exp))
+    return word_from_pairs(rank, pairs)
+
+
 def endo_identity(n: int) -> EndoTable:
-    return EndoTable(n, tuple(word_gen(n, i) for i in range(1, n + 1)))
+    return _endo_from_images(n, {})
 
 
 def endo_inner(w: ReducedWord) -> EndoTable:
     """The inner endomorphism x -> w x w^-1."""
     n = w.rank_n
-    return EndoTable(n, tuple(word_conjugate(w, word_gen(n, i)) for i in range(1, n + 1)))
+    return _endo_from_images(n, {t: word_conjugate(w, word_gen(n, t)) for t in range(1, n + 1)})
 
 
 def endo_apply(e: EndoTable, w: ReducedWord) -> ReducedWord:
     if e.rank_n != w.rank_n:
         raise ValueError("rank mismatch")
-    inverses: dict[int, ReducedWord] = {}
-    pairs: list[tuple[int, int]] = []
-    for g, exp in w.letters:
-        if exp > 0:
-            img = e.images[g - 1]
-            reps = exp
-        else:
-            img = inverses.get(g)
-            if img is None:
-                img = inverses[g] = word_inverse(e.images[g - 1])
-            reps = -exp
-        for _ in range(reps):
-            pairs.extend(img.letters)
-    return word_from_pairs(e.rank_n, pairs)
+    return _word_image(e.images, w, e.rank_n)
 
 
 def endo_compose(f: EndoTable, g: EndoTable) -> EndoTable:

@@ -28,6 +28,7 @@ from lieforge.braids import (
     sym_sigma,
     sym_tri,
     symbol_table,
+    tri_table,
     xi_word,
 )
 from lieforge.words import (
@@ -241,6 +242,44 @@ def test_tri_inverse():
     assert endo_equal(
         endo_compose(evaluate(w), evaluate(w.inverse())), endo_identity(n)
     )
+
+
+def builder_pairs(n):
+    """(label, table, table of its inverse, conjugates each generator) for
+    every table builder at rank n and every valid index."""
+    pairs = []
+    for i in range(1, n):
+        pairs.append((f"s{i}", sigma_table(i, n), sigma_table(i, n, -1), False))
+        pairs.append((f"C({i})", c_j_table(i, n), c_j_table(i, n, -1), True))
+    for i in range(1, n + 1):
+        for k in range(i, n + 1):
+            pairs.append((f"c({k},{i})", cki_table(k, i, n), cki_table(k, i, n, -1), True))
+            if i < k:
+                a, a_inv = pure_a_table(i, k, n), pure_a_table(i, k, n, -1)
+                pairs.append((f"A({i},{k})", a, a_inv, True))
+                pairs.append((f"chi({k},{i})", chi_table(k, i, n), chi_table(k, i, n, -1), True))
+    gamma = word_from_pairs(n, [(1, 1), (2, 1), (1, -1), (2, -1)])
+    for i in range(3, n + 1):
+        for w in (word_identity(n), word_from_pairs(n, [(i - 1, 1), (1, -2)])):
+            pairs.append(
+                (f"tri({i};{w})", tri_table(i, w, gamma, n), tri_table(i, w, gamma, n, -1), False)
+            )
+    conjugators = [word_gen(n, t) for t in range(1, n + 1)]
+    for w in conjugators + [boundary(n), parse_word(n, "x1^2 x2^-1")]:
+        pairs.append((f"inn({w})", endo_inner(w), endo_inner(word_inverse(w)), True))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_builder_composes_with_its_inverse_to_the_identity(n):
+    identity = endo_identity(n)
+    for label, table, inverse, conjugating in builder_pairs(n):
+        assert endo_equal(endo_compose(table, inverse), identity), label
+        assert endo_equal(endo_compose(inverse, table), identity), label
+        if conjugating:
+            for t in range(1, n + 1):
+                assert word_is_conjugate(table.image(t), word_gen(n, t)), (label, t)
+                assert word_is_conjugate(inverse.image(t), word_gen(n, t)), (label, t)
 
 
 def test_evaluate_one_symbol_is_its_table():

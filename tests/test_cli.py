@@ -148,6 +148,22 @@ def test_degree_word_cutoff_below_one(capsys):
             assert "error: cutoff degree must be at least 1" in err
 
 
+def test_key_theorem_without_a_degree_is_a_usage_error(capsys):
+    # an empty degree range would check nothing and report a pass
+    for cutoff in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "verify", "key-theorem", "--n", "3", "--max-degree", cutoff
+        )
+        assert (code, out, err) == (2, "", "error: need 3 <= n <= 4 and 1 <= max_degree <= 4\n")
+
+
+def test_inner_suite_without_samples_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "inner", "--n", "3", "--max-degree", "3", "--samples", "0"
+    )
+    assert (code, out, err) == (2, "", "error: need samples >= 1\n")
+
+
 def test_deterministic_stdout(capsys):
     args = ("verify", "inner", "--n", "2", "--max-degree", "4", "--samples", "8", "--seed", "1")
     _, out1, _ = run_cli(capsys, *args)
@@ -270,7 +286,9 @@ def test_parse_aut_expr_long_power():
 # stdout digests of ops that exercise the series product, lattice membership,
 # the Johnson layers, the centralizer of the boundary, the census cells, the
 # Lie class of a word, the Witt table, the tangential ranks, every suite at
-# once and the tsv format; keys are split like a shell command line
+# once, the tsv format, the chi, c_ki and triangular tables at rank 4, and the
+# quotient and central-braid suites at rank 6; keys are split like a shell
+# command line
 PINNED_STDOUT = {
     "ranks --object dk --n 3 --max-degree 3":
         "85a2c9f62a81246c925d2b5fef5ae8270230e96abf07c00f2e071af89e1f9125",
@@ -326,6 +344,16 @@ PINNED_STDOUT = {
         "e62b9f703bad6da779f35964cebba9bfa2f13065b72992a176716c635db24192",
     "ranks --object dk --n 3 --max-degree 3 --format tsv":
         "de2a964a1707995a22250f6e6cf77d08acba3b9abba4069fee0e6e75fcbd22ff",
+    "degree --n 4 --max-degree 5 --auto chi(3,1).chi(3,2).chi(3,1)^-1.chi(3,2)^-1":
+        "f9f4f518a449e3d338d0cd7319637ffbbb0a86709bf2710eb4e37e447bf47866",
+    "expand --n 4 --max-degree 4 --auto chi(3,1).chi(4,2)^-1":
+        "025085efa321059bb8c5b88953c704e680398a186973b0a808a5dd0413dceccb",
+    "verify triangular --n 4":
+        "7b3fbe09e46fed7e57490170175a4d09a0447f102bb05e5c6c0b9ce1a63ea0f9",
+    "verify quotient --n 6":
+        "b027dac029fa1efbcefbd2f9fee759abe5e966d2021620fe1409fbe9701287b3",
+    "verify center-pn --n 6":
+        "aacbd3019174b03db82662b0cde524610c9a0c9a31e6dd7ed6b3da3aca4892c1",
 }
 
 

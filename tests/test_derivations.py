@@ -36,6 +36,7 @@ from lieforge.freelie import (
     lie_from_word,
     lie_generator,
     lie_neg,
+    lie_scale,
     lie_zero,
     lyndon_words,
     witt_rank,
@@ -160,7 +161,8 @@ def test_tangent_vector_indexes_tangential_coords():
         for k in range(1, 5):
             for idx, (i, u) in enumerate(tangential_coords(n, k)):
                 tangents = tuple(
-                    lie_from_word(n, u, 3) if t == i else lie_zero(n, k) for t in range(1, n + 1)
+                    lie_scale(lie_from_word(n, u), 3) if t == i else lie_zero(n, k)
+                    for t in range(1, n + 1)
                 )
                 assert tangent_vector(n, k, tangents) == {idx: 3}, (n, k, i, u)
     n = 3
@@ -293,7 +295,7 @@ def _tangential_from_vector(n, k, tv):
     tangents = [lie_zero(n, k) for _ in range(n)]
     for (i, u), c in zip(coords, tv):
         if c:
-            tangents[i - 1] = lie_add(tangents[i - 1], lie_from_word(n, u, c))
+            tangents[i - 1] = lie_add(tangents[i - 1], lie_scale(lie_from_word(n, u), c))
     return tangential_derivation(n, k, tuple(tangents))
 
 
